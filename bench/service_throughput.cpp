@@ -10,6 +10,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -215,29 +216,41 @@ BENCHMARK(BM_tcp_transport)
     ->UseManualTime()
     ->Unit(benchmark::kMillisecond);
 
-/// The PR acceptance gate (docs/WIRE.md): with 8 requests in flight, the
-/// multiplexed binary transport must not be slower than line-JSON.  Best of
-/// three runs per transport to shave scheduler noise; 0.85x tolerance so the
+/// The acceptance gate (docs/WIRE.md): with 8 requests in flight, the
+/// multiplexed binary transport must not be slower than line-JSON.  Trials
+/// run in line/binary pairs, alternating which transport goes first, so a
+/// load shift on the host hits both sides of a pair; the verdict is the
+/// median per-pair binary/line throughput ratio.  0.85x tolerance so the
 /// gate trips on regressions, not on CI jitter.
 int run_transport_gate() {
   constexpr std::size_t kConcurrency = 8;
-  constexpr std::size_t kRequests = 1024;
-  const auto best_throughput = [&](WireMode mode) {
-    double best = 1e100;
-    for (int run = 0; run < 3; ++run) {
-      const double seconds =
-          measure_transport_seconds(mode, kConcurrency, kRequests);
-      if (seconds > 0.0 && seconds < best) best = seconds;
-    }
-    return static_cast<double>(kRequests) / best;
+  constexpr std::size_t kRequests = 4096;
+  constexpr int kPairs = 7;
+  const auto throughput = [&](WireMode mode) {
+    const double seconds = measure_transport_seconds(mode, kConcurrency, kRequests);
+    return seconds > 0.0 ? static_cast<double>(kRequests) / seconds : 0.0;
   };
-  const double line_rps = best_throughput(WireMode::kLineJson);
-  const double binary_rps = best_throughput(WireMode::kBinary);
-  std::printf(
-      "transport-gate: line-json %.0f req/s, binary %.0f req/s (%.2fx) at "
-      "concurrency %zu\n",
-      line_rps, binary_rps, binary_rps / line_rps, kConcurrency);
-  if (binary_rps < 0.85 * line_rps) {
+  std::vector<double> ratios;
+  for (int pair = 0; pair < kPairs; ++pair) {
+    double line_rps = 0.0;
+    double binary_rps = 0.0;
+    if (pair % 2 == 0) {
+      line_rps = throughput(WireMode::kLineJson);
+      binary_rps = throughput(WireMode::kBinary);
+    } else {
+      binary_rps = throughput(WireMode::kBinary);
+      line_rps = throughput(WireMode::kLineJson);
+    }
+    ratios.push_back(line_rps > 0.0 ? binary_rps / line_rps : 0.0);
+    std::printf("transport-gate: pair %d line-json %.0f req/s, binary %.0f req/s (%.2fx)\n",
+                pair, line_rps, binary_rps, ratios.back());
+  }
+  std::sort(ratios.begin(), ratios.end());
+  const double median = ratios[ratios.size() / 2];
+  std::printf("transport-gate: median binary/line ratio %.2fx over %d pairs at "
+              "concurrency %zu\n",
+              median, kPairs, kConcurrency);
+  if (median < 0.85) {
     std::fprintf(stderr,
                  "transport-gate: FAIL — binary framing is slower than the "
                  "line protocol it replaces\n");

@@ -572,7 +572,7 @@ std::size_t DeltaPlanner::restore_state(const std::string& payload) {
       persist::Cursor inner_cursor(inner);
       try {
         base->inc = IncrementalState::decode(base->kind, inner_cursor, base->weights,
-                                             base->seed);
+                                             base->seed, {}, num_vertices);
       } catch (const std::invalid_argument& e) {
         throw persist::SnapshotError(std::string("dynamic state: ") + e.what());
       }

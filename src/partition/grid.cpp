@@ -1,86 +1,15 @@
 #include "partition/grid.hpp"
 
-#include <cmath>
-#include <limits>
-#include <stdexcept>
-
 #include "obs/trace.hpp"
-#include "util/hash.hpp"
+#include "partition/incremental.hpp"
 
 namespace pglb {
-
-namespace {
-
-using ConstraintMask = std::uint64_t;
-
-/// Row + column machines of `home` in a side x side grid.
-ConstraintMask constraint_of(MachineId home, MachineId side) {
-  const MachineId row = home / side;
-  const MachineId col = home % side;
-  ConstraintMask mask = 0;
-  for (MachineId k = 0; k < side; ++k) {
-    mask |= ConstraintMask{1} << (row * side + k);  // whole row
-    mask |= ConstraintMask{1} << (k * side + col);  // whole column
-  }
-  return mask;
-}
-
-}  // namespace
 
 PartitionAssignment GridPartitioner::partition(const EdgeList& graph,
                                                std::span<const double> weights,
                                                std::uint64_t seed) const {
   PGLB_TRACE_SPAN("partition.grid", "partition");
-  const auto shares = normalized_weights(weights);
-  const auto num_machines = static_cast<MachineId>(shares.size());
-  const auto side =
-      static_cast<MachineId>(std::lround(std::sqrt(static_cast<double>(num_machines))));
-  if (side * side != num_machines) {
-    throw std::invalid_argument("grid: machine count must be a perfect square");
-  }
-  if (num_machines > 64) throw std::invalid_argument("grid: at most 64 machines supported");
-
-  const auto cum = prefix_sum(shares);
-
-  // Precompute each vertex's constraint set from its weight-biased home.
-  std::vector<ConstraintMask> constraints(graph.num_vertices());
-  for (VertexId v = 0; v < graph.num_vertices(); ++v) {
-    const auto home = static_cast<MachineId>(weighted_pick(hash_u64(v, seed), cum));
-    constraints[v] = constraint_of(home, side);
-  }
-
-  PartitionAssignment result;
-  result.num_machines = num_machines;
-  result.edge_to_machine.resize(graph.num_edges());
-
-  std::vector<EdgeId> loads(num_machines, 0);
-  EdgeId index = 0;
-  for (const Edge& e : graph.edges()) {
-    ConstraintMask candidates = constraints[e.src] & constraints[e.dst];
-    // The intersection of two row+column crosses is never empty, but guard
-    // anyway (e.g. hand-built constraint tables in tests).
-    if (candidates == 0) candidates = constraints[e.src] | constraints[e.dst];
-
-    const std::uint64_t tie_hash = hash_edge(e.src, e.dst, seed);
-    MachineId best = kInvalidMachine;
-    double best_score = -std::numeric_limits<double>::infinity();
-    std::uint64_t best_tie = 0;
-    for (MachineId m = 0; m < num_machines; ++m) {
-      if ((candidates & (ConstraintMask{1} << m)) == 0) continue;
-      // CCR-guided score: capability share per unit of already-assigned load.
-      const double score = shares[m] / (1.0 + static_cast<double>(loads[m]));
-      const std::uint64_t tie = hash_u64(tie_hash, m);
-      if (best == kInvalidMachine || score > best_score ||
-          (score == best_score && tie < best_tie)) {
-        best = m;
-        best_score = score;
-        best_tie = tie;
-      }
-    }
-    result.edge_to_machine[index++] = best;
-    ++loads[best];
-  }
-  return result;
+  return IncrementalState::partition_graph(PartitionerKind::kGrid, graph, weights, seed);
 }
 
 }  // namespace pglb

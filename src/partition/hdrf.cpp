@@ -1,13 +1,9 @@
 #include "partition/hdrf.hpp"
 
-#include <algorithm>
-#include <limits>
-#include <stdexcept>
 #include <string>
 
 #include "obs/trace.hpp"
-#include "util/deadline.hpp"
-#include "util/hash.hpp"
+#include "partition/incremental.hpp"
 
 namespace pglb {
 
@@ -19,60 +15,10 @@ PartitionAssignment HdrfPartitioner::partition(const EdgeList& graph,
       tracing_enabled()
           ? intern_trace_label("machines=" + std::to_string(weights.size()))
           : nullptr);
-  const auto shares = normalized_weights(weights);
-  const auto num_machines = static_cast<MachineId>(shares.size());
-  if (num_machines > 64) throw std::invalid_argument("hdrf: at most 64 machines supported");
-
-  PartitionAssignment result;
-  result.num_machines = num_machines;
-  result.edge_to_machine.resize(graph.num_edges());
-
-  std::vector<std::uint64_t> replicas(graph.num_vertices(), 0);
-  std::vector<EdgeId> partial_degree(graph.num_vertices(), 0);
-  std::vector<double> load(num_machines, 0.0);  // weighted: edges / share
-
-  EdgeId index = 0;
-  for (const Edge& e : graph.edges()) {
-    // Amortized ambient deadline poll (see docs/ROBUSTNESS.md).
-    if ((index & 0x3FFF) == 0) poll_cancellation("partition.hdrf");
-    ++partial_degree[e.src];
-    ++partial_degree[e.dst];
-    const double du = static_cast<double>(partial_degree[e.src]);
-    const double dv = static_cast<double>(partial_degree[e.dst]);
-    const double theta_u = du / (du + dv);
-    const double theta_v = 1.0 - theta_u;
-
-    double max_load = 0.0, min_load = std::numeric_limits<double>::infinity();
-    for (MachineId p = 0; p < num_machines; ++p) {
-      max_load = std::max(max_load, load[p]);
-      min_load = std::min(min_load, load[p]);
-    }
-
-    const std::uint64_t tie_hash = hash_edge(e.src, e.dst, seed);
-    MachineId best = 0;
-    double best_score = -std::numeric_limits<double>::infinity();
-    std::uint64_t best_tie = 0;
-    for (MachineId p = 0; p < num_machines; ++p) {
-      double c_rep = 0.0;
-      if (replicas[e.src] & (std::uint64_t{1} << p)) c_rep += 1.0 + (1.0 - theta_u);
-      if (replicas[e.dst] & (std::uint64_t{1} << p)) c_rep += 1.0 + (1.0 - theta_v);
-      const double c_bal =
-          (max_load - load[p]) / (1e-9 + max_load - min_load);
-      const double score = c_rep + options_.lambda * c_bal;
-      const std::uint64_t tie = hash_u64(tie_hash, p);
-      if (score > best_score || (score == best_score && tie < best_tie)) {
-        best = p;
-        best_score = score;
-        best_tie = tie;
-      }
-    }
-
-    result.edge_to_machine[index++] = best;
-    load[best] += 1.0 / shares[best];  // capability-weighted fill
-    replicas[e.src] |= std::uint64_t{1} << best;
-    replicas[e.dst] |= std::uint64_t{1} << best;
-  }
-  return result;
+  PartitionerOptions options;
+  options.hdrf = options_;
+  return IncrementalState::partition_graph(PartitionerKind::kHdrf, graph, weights, seed,
+                                           options);
 }
 
 }  // namespace pglb

@@ -3,8 +3,7 @@
 #include <string>
 
 #include "obs/trace.hpp"
-#include "util/deadline.hpp"
-#include "util/hash.hpp"
+#include "partition/incremental.hpp"
 
 namespace pglb {
 
@@ -18,30 +17,10 @@ PartitionAssignment HybridPartitioner::partition(const EdgeList& graph,
       tracing_enabled()
           ? intern_trace_label("machines=" + std::to_string(weights.size()))
           : nullptr);
-  const auto shares = normalized_weights(weights);
-  const auto cum = prefix_sum(shares);
-
-  PartitionAssignment result;
-  result.num_machines = static_cast<MachineId>(shares.size());
-  result.edge_to_machine.resize(graph.num_edges());
-
-  // Pass 1 scans the whole graph, which also yields exact in-degrees "for
-  // free" (Sec. II-C1).
-  const auto in_degree = graph.in_degrees();
-
-  EdgeId index = 0;
-  for (const Edge& e : graph.edges()) {
-    // Amortized ambient deadline poll; the assignment produced so far is
-    // discarded on cancellation, so determinism is unaffected.
-    if ((index & 0x3FFF) == 0) poll_cancellation("partition.hybrid");
-    const bool high_degree = in_degree[e.dst] > options_.high_degree_threshold;
-    // Low-degree: group with the target (edge cut).  High-degree: scatter by
-    // source (vertex cut).  Both use the weight-biased hash.
-    const VertexId key = high_degree ? e.src : e.dst;
-    result.edge_to_machine[index++] =
-        static_cast<MachineId>(weighted_pick(hash_u64(key, seed), cum));
-  }
-  return result;
+  PartitionerOptions options;
+  options.hybrid = options_;
+  return IncrementalState::partition_graph(PartitionerKind::kHybrid, graph, weights, seed,
+                                           options);
 }
 
 }  // namespace pglb

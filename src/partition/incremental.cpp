@@ -4,32 +4,19 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
+#include "util/deadline.hpp"
 #include "util/hash.hpp"
 
 namespace pglb {
 
 namespace {
 
-// Same validation + normalisation as Partitioner::normalized_weights (that
-// one is protected); the two must stay in lockstep for scratch equivalence.
-std::vector<double> normalize(std::span<const double> weights) {
-  if (weights.empty()) throw std::invalid_argument("partition: weights must be non-empty");
-  double total = 0.0;
-  for (const double w : weights) {
-    if (!(w > 0.0) || !std::isfinite(w)) {
-      throw std::invalid_argument("partition: weights must be positive and finite");
-    }
-    total += w;
-  }
-  std::vector<double> normalized(weights.begin(), weights.end());
-  for (double& w : normalized) w /= total;
-  return normalized;
-}
-
 // Sparse (index, value) encoding for per-vertex arrays — after a few batches
 // most vertices carry state, but fresh post-rebuild states are near-empty and
-// the format stays O(nonzero).
+// the format stays O(nonzero).  Decoding checks the encoded length against
+// the caller's vertex bound before allocating.
 template <typename T>
 void encode_sparse(std::string& out, const std::vector<T>& values) {
   persist::append_u64(out, values.size());
@@ -46,8 +33,13 @@ void encode_sparse(std::string& out, const std::vector<T>& values) {
 }
 
 template <typename T>
-std::vector<T> decode_sparse(persist::Cursor& cursor) {
+std::vector<T> decode_sparse(persist::Cursor& cursor, std::uint64_t max_size) {
   const std::uint64_t size = cursor.read_u64();
+  if (size > max_size) {
+    throw persist::SnapshotError("incremental state: per-vertex array of " +
+                                 std::to_string(size) + " entries exceeds " +
+                                 std::to_string(max_size) + " vertices");
+  }
   std::vector<T> values(size, 0);
   const std::uint64_t nonzero = cursor.read_u64();
   for (std::uint64_t k = 0; k < nonzero; ++k) {
@@ -61,11 +53,10 @@ std::vector<T> decode_sparse(persist::Cursor& cursor) {
 }
 
 // --- hybrid ----------------------------------------------------------------
-// Scratch hybrid scans the whole graph first (exact in-degrees), then assigns
-// by weight-biased hash of the grouping key.  Incrementally, the in-degree
-// table is maintained across batches, and each batch is processed the same
-// two-pass way: count ALL of the batch's in-degrees, then assign — so a whole
-// graph fed as one batch sees the exact final in-degrees scratch sees.
+// Each batch is processed in two passes: count ALL of the batch's in-degrees,
+// then assign by weight-biased hash of the grouping key.  A whole graph fed as
+// one batch therefore sees its exact final in-degrees (the scan PowerLyra gets
+// "for free", Sec. II-C1); later batches extend the maintained table.
 
 class HybridIncrementalState final : public IncrementalState {
  public:
@@ -73,7 +64,7 @@ class HybridIncrementalState final : public IncrementalState {
                          const HybridOptions& options)
       : IncrementalState(seed),
         options_(options),
-        cum_(prefix_sum(normalize(weights))) {}
+        cum_(prefix_sum(normalized_weights(weights))) {}
 
   PartitionerKind kind() const noexcept override { return PartitionerKind::kHybrid; }
 
@@ -84,8 +75,14 @@ class HybridIncrementalState final : public IncrementalState {
   void assign_batch(std::span<const Edge> batch,
                     std::vector<MachineId>& out) override {
     for (const Edge& e : batch) ++in_degree_.at(e.dst);
-    for (const Edge& e : batch) {
+    for (std::size_t index = 0; index < batch.size(); ++index) {
+      // Amortized ambient deadline poll; the assignment produced so far is
+      // discarded on cancellation, so determinism is unaffected.
+      if ((index & 0x3FFF) == 0) poll_cancellation("partition.hybrid");
+      const Edge& e = batch[index];
       const bool high_degree = in_degree_[e.dst] > options_.high_degree_threshold;
+      // Low-degree: group with the target (edge cut).  High-degree: scatter by
+      // source (vertex cut).  Both use the weight-biased hash.
       const VertexId key = high_degree ? e.src : e.dst;
       out.push_back(static_cast<MachineId>(weighted_pick(hash_u64(key, seed_), cum_)));
     }
@@ -98,8 +95,8 @@ class HybridIncrementalState final : public IncrementalState {
   void encode(std::string& out) const override { encode_sparse(out, in_degree_); }
 
  private:
-  void decode_state(persist::Cursor& cursor) override {
-    in_degree_ = decode_sparse<EdgeId>(cursor);
+  void decode_state(persist::Cursor& cursor, std::uint64_t max_vertices) override {
+    in_degree_ = decode_sparse<EdgeId>(cursor, max_vertices);
   }
 
   HybridOptions options_;
@@ -113,7 +110,7 @@ class HdrfIncrementalState final : public IncrementalState {
  public:
   HdrfIncrementalState(std::span<const double> weights, std::uint64_t seed,
                        const HdrfOptions& options)
-      : IncrementalState(seed), options_(options), shares_(normalize(weights)) {
+      : IncrementalState(seed), options_(options), shares_(normalized_weights(weights)) {
     if (shares_.size() > 64) {
       throw std::invalid_argument("hdrf: at most 64 machines supported");
     }
@@ -132,7 +129,10 @@ class HdrfIncrementalState final : public IncrementalState {
   void assign_batch(std::span<const Edge> batch,
                     std::vector<MachineId>& out) override {
     const auto num_machines = static_cast<MachineId>(shares_.size());
-    for (const Edge& e : batch) {
+    for (std::size_t index = 0; index < batch.size(); ++index) {
+      // Amortized ambient deadline poll (see docs/ROBUSTNESS.md).
+      if ((index & 0x3FFF) == 0) poll_cancellation("partition.hdrf");
+      const Edge& e = batch[index];
       ++partial_degree_.at(e.src);
       ++partial_degree_.at(e.dst);
       const double du = static_cast<double>(partial_degree_[e.src]);
@@ -165,7 +165,7 @@ class HdrfIncrementalState final : public IncrementalState {
       }
 
       out.push_back(best);
-      load_[best] += 1.0 / shares_[best];
+      load_[best] += 1.0 / shares_[best];  // capability-weighted fill
       replicas_[e.src] |= std::uint64_t{1} << best;
       replicas_[e.dst] |= std::uint64_t{1} << best;
     }
@@ -191,14 +191,14 @@ class HdrfIncrementalState final : public IncrementalState {
   }
 
  private:
-  void decode_state(persist::Cursor& cursor) override {
+  void decode_state(persist::Cursor& cursor, std::uint64_t max_vertices) override {
     const std::uint32_t machines = cursor.read_u32();
     if (machines != load_.size()) {
       throw persist::SnapshotError("hdrf incremental state: machine count mismatch");
     }
     for (double& l : load_) l = cursor.read_f64();
-    replicas_ = decode_sparse<std::uint64_t>(cursor);
-    partial_degree_ = decode_sparse<EdgeId>(cursor);
+    replicas_ = decode_sparse<std::uint64_t>(cursor, max_vertices);
+    partial_degree_ = decode_sparse<EdgeId>(cursor, max_vertices);
     if (replicas_.size() != partial_degree_.size()) {
       throw persist::SnapshotError("hdrf incremental state: vertex array mismatch");
     }
@@ -216,7 +216,7 @@ class HdrfIncrementalState final : public IncrementalState {
 class ObliviousIncrementalState final : public IncrementalState {
  public:
   ObliviousIncrementalState(std::span<const double> weights, std::uint64_t seed)
-      : IncrementalState(seed), shares_(normalize(weights)) {
+      : IncrementalState(seed), shares_(normalized_weights(weights)) {
     if (shares_.size() > 64) {
       throw std::invalid_argument("oblivious: at most 64 machines supported");
     }
@@ -241,24 +241,32 @@ class ObliviousIncrementalState final : public IncrementalState {
 
       std::uint64_t candidates;
       if ((au & av) != 0) {
+        // Case 1: shared machine — extend locality, no new mirror at all.
         candidates = au & av;
       } else if (au != 0 && av != 0) {
+        // Case 2: both placed but disjoint — favour the machine set of the
+        // (apparently) higher-degree endpoint, so the hub gains no new mirror.
         candidates = assigned_degree_[e.src] >= assigned_degree_[e.dst] ? au : av;
       } else if ((au | av) != 0) {
+        // Case 3: exactly one endpoint placed.
         candidates = au | av;
       } else {
+        // Case 4: fresh edge — pure weighted load balancing.
         candidates = 0;
       }
 
       MachineId m = best_in_mask(candidates, tie_hash);
       if (candidates != 0) {
+        // Balance guard (PowerGraph keeps greedy placement within a slack of
+        // the least-loaded machine): when the locality pick has drifted too
+        // far above its weighted share, fall back to pure load balancing.
         const MachineId least = best_in_mask(0, tie_hash);
         const double cand_load = static_cast<double>(loads_[m]) / shares_[m];
         const double min_load = static_cast<double>(loads_[least]) / shares_[least];
-        // Scratch oblivious grows slack with the global stream position;
-        // edge_index_ carries that position across batches (monotone — a
-        // retraction does not rewind it, so the slack schedule never
-        // tightens retroactively).
+        // The slack grows with the global stream position; edge_index_
+        // carries that position across batches (monotone — a retraction
+        // does not rewind it, so the slack schedule never tightens
+        // retroactively).
         const double slack = 8.0 + 0.05 * static_cast<double>(edge_index_ + 1) /
                                        static_cast<double>(shares_.size());
         if (cand_load > min_load + slack) m = least;
@@ -292,6 +300,9 @@ class ObliviousIncrementalState final : public IncrementalState {
   }
 
  private:
+  /// Least weighted-loaded machine among those set in `mask` (all machines
+  /// when mask == 0).  Ties break by a per-edge hash for determinism without
+  /// bias.
   MachineId best_in_mask(std::uint64_t mask, std::uint64_t tie_hash) const {
     const auto num_machines = static_cast<MachineId>(shares_.size());
     MachineId best = kInvalidMachine;
@@ -311,15 +322,15 @@ class ObliviousIncrementalState final : public IncrementalState {
     return best;
   }
 
-  void decode_state(persist::Cursor& cursor) override {
+  void decode_state(persist::Cursor& cursor, std::uint64_t max_vertices) override {
     edge_index_ = cursor.read_u64();
     const std::uint32_t machines = cursor.read_u32();
     if (machines != loads_.size()) {
       throw persist::SnapshotError("oblivious incremental state: machine count mismatch");
     }
     for (EdgeId& l : loads_) l = cursor.read_u64();
-    replicas_ = decode_sparse<std::uint64_t>(cursor);
-    assigned_degree_ = decode_sparse<EdgeId>(cursor);
+    replicas_ = decode_sparse<std::uint64_t>(cursor, max_vertices);
+    assigned_degree_ = decode_sparse<EdgeId>(cursor, max_vertices);
     if (replicas_.size() != assigned_degree_.size()) {
       throw persist::SnapshotError("oblivious incremental state: vertex array mismatch");
     }
@@ -333,14 +344,15 @@ class ObliviousIncrementalState final : public IncrementalState {
 };
 
 // --- grid ------------------------------------------------------------------
-// Constraints are a pure function of (vertex, seed, shares), so only the
-// per-machine loads are real state; constraint masks are re-derived on
+// Each vertex's constraint set is the row + column of its weight-biased home
+// machine.  Constraints are a pure function of (vertex, seed, shares), so only
+// the per-machine loads are real state; constraint masks are re-derived on
 // ensure_vertices and never serialized.
 
 class GridIncrementalState final : public IncrementalState {
  public:
   GridIncrementalState(std::span<const double> weights, std::uint64_t seed)
-      : IncrementalState(seed), shares_(normalize(weights)) {
+      : IncrementalState(seed), shares_(normalized_weights(weights)) {
     const auto num_machines = static_cast<MachineId>(shares_.size());
     side_ = static_cast<MachineId>(
         std::lround(std::sqrt(static_cast<double>(num_machines))));
@@ -369,6 +381,8 @@ class GridIncrementalState final : public IncrementalState {
     const auto num_machines = static_cast<MachineId>(shares_.size());
     for (const Edge& e : batch) {
       std::uint64_t candidates = constraints_.at(e.src) & constraints_.at(e.dst);
+      // The intersection of two row+column crosses is never empty, but guard
+      // anyway (e.g. hand-built constraint tables in tests).
       if (candidates == 0) candidates = constraints_[e.src] | constraints_[e.dst];
 
       const std::uint64_t tie_hash = hash_edge(e.src, e.dst, seed_);
@@ -377,6 +391,7 @@ class GridIncrementalState final : public IncrementalState {
       std::uint64_t best_tie = 0;
       for (MachineId m = 0; m < num_machines; ++m) {
         if ((candidates & (std::uint64_t{1} << m)) == 0) continue;
+        // CCR-guided score: capability share per unit of already-assigned load.
         const double score = shares_[m] / (1.0 + static_cast<double>(loads_[m]));
         const std::uint64_t tie = hash_u64(tie_hash, m);
         if (best == kInvalidMachine || score > best_score ||
@@ -402,6 +417,7 @@ class GridIncrementalState final : public IncrementalState {
   }
 
  private:
+  /// Row + column machines of `home` in a side x side grid.
   std::uint64_t constraint_of(MachineId home) const {
     const MachineId row = home / side_;
     const MachineId col = home % side_;
@@ -413,8 +429,12 @@ class GridIncrementalState final : public IncrementalState {
     return mask;
   }
 
-  void decode_state(persist::Cursor& cursor) override {
+  void decode_state(persist::Cursor& cursor, std::uint64_t max_vertices) override {
     const std::uint64_t vertices = cursor.read_u64();
+    if (vertices > max_vertices) {
+      throw persist::SnapshotError("grid incremental state: " + std::to_string(vertices) +
+                                   " vertices exceeds " + std::to_string(max_vertices));
+    }
     ensure_vertices(static_cast<VertexId>(vertices));
     const std::uint32_t machines = cursor.read_u32();
     if (machines != loads_.size()) {
@@ -468,10 +488,26 @@ std::unique_ptr<IncrementalState> IncrementalState::create(
 std::unique_ptr<IncrementalState> IncrementalState::decode(
     PartitionerKind kind, persist::Cursor& cursor,
     std::span<const double> weights, std::uint64_t seed,
-    const PartitionerOptions& options) {
+    const PartitionerOptions& options, std::uint64_t max_vertices) {
+  // A bound above the VertexId range would let the grid count narrow.
+  max_vertices = std::min<std::uint64_t>(max_vertices, std::numeric_limits<VertexId>::max());
   auto state = create(kind, weights, seed, options);
-  state->decode_state(cursor);
+  state->decode_state(cursor, max_vertices);
   return state;
+}
+
+PartitionAssignment IncrementalState::partition_graph(PartitionerKind kind,
+                                                      const EdgeList& graph,
+                                                      std::span<const double> weights,
+                                                      std::uint64_t seed,
+                                                      const PartitionerOptions& options) {
+  auto state = create(kind, weights, seed, options);
+  state->ensure_vertices(graph.num_vertices());
+  PartitionAssignment result;
+  result.num_machines = static_cast<MachineId>(weights.size());
+  result.edge_to_machine.reserve(graph.num_edges());
+  state->assign_batch(graph.edges(), result.edge_to_machine);
+  return result;
 }
 
 }  // namespace pglb

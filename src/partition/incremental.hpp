@@ -7,12 +7,11 @@
 // assignment as mutation batches arrive instead of re-partitioning from
 // scratch.
 //
-// The contract that makes the scratch-equivalence gate work: each
-// implementation's assign loop is the corresponding Partitioner's loop body,
-// verbatim.  Feeding an entire graph through a FRESH state as one batch
-// yields the same assignment, bit for bit, as Partitioner::partition on that
-// graph — that is both the unit test and how the delta planner rebuilds its
-// state after a full re-profile.
+// This file holds the only implementation of each of the four scorers:
+// Partitioner::partition for these kinds IS a fresh state fed the whole graph
+// as one batch (partition_graph below), which is also how the delta planner
+// rebuilds its state after a full re-profile.  The golden pins in
+// tests/test_partition_golden.cpp guard the outputs.
 //
 // Retraction is the documented approximation: removing an edge returns its
 // load to the pool (and rolls back degree counters where the scorer keeps
@@ -28,6 +27,7 @@
 // rejected at the protocol layer.
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <span>
 #include <string>
@@ -51,8 +51,8 @@ class IncrementalState {
 
   /// Assign every edge of `batch` in order, appending one owner per edge to
   /// `out`.  Endpoints must be covered by ensure_vertices first.  Stateful:
-  /// each call continues where the previous one stopped, and one call over a
-  /// whole graph from a fresh state reproduces the scratch partitioner.
+  /// each call continues where the previous one stopped.  Hybrid and HDRF
+  /// poll the ambient CancelScope every 16384 edges of the batch.
   virtual void assign_batch(std::span<const Edge> batch,
                             std::vector<MachineId>& out) = 0;
 
@@ -79,16 +79,27 @@ class IncrementalState {
       const PartitionerOptions& options = {});
 
   /// create() followed by restoring an encode()d payload.  Throws
-  /// persist::SnapshotError on malformed bytes.
+  /// persist::SnapshotError on malformed bytes, including any per-vertex
+  /// array longer than `max_vertices` — callers restoring a snapshot pass
+  /// the snapshot's own vertex count, so crafted sizes cannot drive the
+  /// allocation.
   static std::unique_ptr<IncrementalState> decode(
       PartitionerKind kind, persist::Cursor& cursor,
       std::span<const double> weights, std::uint64_t seed,
-      const PartitionerOptions& options = {});
+      const PartitionerOptions& options = {},
+      std::uint64_t max_vertices = std::numeric_limits<VertexId>::max());
+
+  /// Partitioner::partition for the streaming family: a fresh state for
+  /// `kind` fed all of `graph` as one batch.
+  static PartitionAssignment partition_graph(PartitionerKind kind, const EdgeList& graph,
+                                             std::span<const double> weights,
+                                             std::uint64_t seed,
+                                             const PartitionerOptions& options = {});
 
  protected:
   explicit IncrementalState(std::uint64_t seed) : seed_(seed) {}
 
-  virtual void decode_state(persist::Cursor& cursor) = 0;
+  virtual void decode_state(persist::Cursor& cursor, std::uint64_t max_vertices) = 0;
 
   std::uint64_t seed_;
 };

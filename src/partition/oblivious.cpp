@@ -1,101 +1,15 @@
 #include "partition/oblivious.hpp"
 
-#include <limits>
-#include <stdexcept>
-
 #include "obs/trace.hpp"
-#include "util/hash.hpp"
+#include "partition/incremental.hpp"
 
 namespace pglb {
-
-namespace {
-
-using ReplicaMask = std::uint64_t;
-constexpr MachineId kMaxMachines = 64;
-
-/// Least weighted-loaded machine among those set in `mask` (all machines when
-/// mask == 0).  Ties break by a per-edge hash for determinism without bias.
-MachineId best_in_mask(ReplicaMask mask, std::span<const EdgeId> loads,
-                       std::span<const double> shares, std::uint64_t tie_hash) {
-  const auto num_machines = static_cast<MachineId>(shares.size());
-  MachineId best = kInvalidMachine;
-  double best_score = std::numeric_limits<double>::infinity();
-  std::uint64_t best_tie = 0;
-  for (MachineId m = 0; m < num_machines; ++m) {
-    if (mask != 0 && (mask & (ReplicaMask{1} << m)) == 0) continue;
-    const double score = static_cast<double>(loads[m]) / shares[m];
-    const std::uint64_t tie = hash_u64(tie_hash, m);
-    if (score < best_score || (score == best_score && tie < best_tie) ||
-        best == kInvalidMachine) {
-      best = m;
-      best_score = score;
-      best_tie = tie;
-    }
-  }
-  return best;
-}
-
-}  // namespace
 
 PartitionAssignment ObliviousPartitioner::partition(const EdgeList& graph,
                                                     std::span<const double> weights,
                                                     std::uint64_t seed) const {
   PGLB_TRACE_SPAN("partition.oblivious", "partition");
-  const auto shares = normalized_weights(weights);
-  if (shares.size() > kMaxMachines) {
-    throw std::invalid_argument("oblivious: at most 64 machines supported");
-  }
-
-  PartitionAssignment result;
-  result.num_machines = static_cast<MachineId>(shares.size());
-  result.edge_to_machine.resize(graph.num_edges());
-
-  std::vector<ReplicaMask> replicas(graph.num_vertices(), 0);
-  std::vector<EdgeId> assigned_degree(graph.num_vertices(), 0);
-  std::vector<EdgeId> loads(shares.size(), 0);
-
-  EdgeId index = 0;
-  for (const Edge& e : graph.edges()) {
-    const ReplicaMask au = replicas[e.src];
-    const ReplicaMask av = replicas[e.dst];
-    const std::uint64_t tie_hash = hash_edge(e.src, e.dst, seed);
-
-    ReplicaMask candidates;
-    if ((au & av) != 0) {
-      // Case 1: shared machine — extend locality, no new mirror at all.
-      candidates = au & av;
-    } else if (au != 0 && av != 0) {
-      // Case 2: both placed but disjoint — favour the machine set of the
-      // (apparently) higher-degree endpoint, so the hub gains no new mirror.
-      candidates = assigned_degree[e.src] >= assigned_degree[e.dst] ? au : av;
-    } else if ((au | av) != 0) {
-      // Case 3: exactly one endpoint placed.
-      candidates = au | av;
-    } else {
-      // Case 4: fresh edge — pure weighted load balancing.
-      candidates = 0;
-    }
-
-    MachineId m = best_in_mask(candidates, loads, shares, tie_hash);
-    if (candidates != 0) {
-      // Balance guard (PowerGraph keeps greedy placement within a slack of
-      // the least-loaded machine): when the locality pick has drifted too far
-      // above its weighted share, fall back to pure load balancing.
-      const MachineId least = best_in_mask(0, loads, shares, tie_hash);
-      const double cand_load = static_cast<double>(loads[m]) / shares[m];
-      const double min_load = static_cast<double>(loads[least]) / shares[least];
-      const double slack =
-          8.0 + 0.05 * static_cast<double>(index + 1) / static_cast<double>(shares.size());
-      if (cand_load > min_load + slack) m = least;
-    }
-    result.edge_to_machine[index++] = m;
-    ++loads[m];
-    replicas[e.src] |= ReplicaMask{1} << m;
-    replicas[e.dst] |= ReplicaMask{1} << m;
-    ++assigned_degree[e.src];
-    ++assigned_degree[e.dst];
-  }
-  return result;
+  return IncrementalState::partition_graph(PartitionerKind::kOblivious, graph, weights, seed);
 }
 
 }  // namespace pglb

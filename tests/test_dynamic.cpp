@@ -297,6 +297,50 @@ TEST(IncrementalState, SupportsExactlyTheStreamingFamily) {
                std::invalid_argument);
 }
 
+TEST(IncrementalState, DecodeRejectsCraftedVertexCounts) {
+  const std::vector<double> weights{1.0, 2.0};
+  // Hybrid payload = sparse in-degree array: [u64 size][u64 nonzero].
+  const auto hybrid_payload = [](std::uint64_t size) {
+    std::string payload;
+    persist::append_u64(payload, size);
+    persist::append_u64(payload, 0);
+    return payload;
+  };
+
+  // 2^40 entries would be an 8 TiB allocation; the size is checked first.
+  const std::string huge = hybrid_payload(std::uint64_t{1} << 40);
+  persist::Cursor huge_cursor(huge);
+  EXPECT_THROW(IncrementalState::decode(PartitionerKind::kHybrid, huge_cursor, weights, 1),
+               persist::SnapshotError);
+
+  // An explicit bound (the snapshot's own vertex count) is exact.
+  const std::string fits = hybrid_payload(16);
+  persist::Cursor fits_cursor(fits);
+  EXPECT_NO_THROW(
+      IncrementalState::decode(PartitionerKind::kHybrid, fits_cursor, weights, 1, {}, 16));
+  const std::string over = hybrid_payload(17);
+  persist::Cursor over_cursor(over);
+  EXPECT_THROW(
+      IncrementalState::decode(PartitionerKind::kHybrid, over_cursor, weights, 1, {}, 16),
+      persist::SnapshotError);
+
+  // Grid serializes a bare vertex count; beyond the VertexId range it would
+  // otherwise narrow silently.
+  const std::vector<double> square{1.0, 1.0, 1.0, 1.0};
+  for (const std::uint64_t vertices : {std::uint64_t{17}, std::uint64_t{1} << 32}) {
+    std::string grid;
+    persist::append_u64(grid, vertices);
+    persist::append_u32(grid, 4);
+    for (int m = 0; m < 4; ++m) persist::append_u64(grid, 0);
+    persist::Cursor cursor(grid);
+    const std::uint64_t bound = vertices == 17 ? 16 : ~std::uint64_t{0};
+    EXPECT_THROW(
+        IncrementalState::decode(PartitionerKind::kGrid, cursor, square, 1, {}, bound),
+        persist::SnapshotError)
+        << vertices;
+  }
+}
+
 // --- DeltaPlanner end to end ------------------------------------------------
 
 PlannerOptions tiny_options() {
@@ -600,6 +644,51 @@ TEST(DeltaPlannerPersist, CorruptPayloadRejectsWholesale) {
                persist::SnapshotError);
   EXPECT_THROW(target.restore_state(payload + "x"), persist::SnapshotError);
   EXPECT_EQ(target.base_count(), 0u);  // nothing partial survives
+}
+
+TEST(DeltaPlannerPersist, ScorerStateIsBoundedBySnapshotVertexCount) {
+  ServiceMetrics metrics;
+  Planner planner(tiny_options(), &metrics);
+  DeltaPlanner original(planner, {}, &metrics);
+  PlanRequest create = creation_request("g", small_powerlaw());
+  create.partitioner = PartitionerKind::kHybrid;
+  ASSERT_TRUE(parse_plan_response(original.handle(create)).ok);
+  const std::string payload = original.encode_state();
+
+  // The lone base ends with [u32 has_inc = 1][u32 length][hybrid scorer
+  // state], and that state opens with its in-degree array's u64 length,
+  // which covers every vertex of the graph.
+  const std::uint64_t vertices = small_powerlaw().num_vertices();
+  const auto u32_at = [&payload](std::size_t at) {
+    std::uint32_t value = 0;
+    for (std::size_t b = 4; b-- > 0;) {
+      value = (value << 8) | static_cast<unsigned char>(payload[at + b]);
+    }
+    return value;
+  };
+  std::size_t inner = 0;
+  for (std::size_t at = payload.size() - 16; at >= 4 && inner == 0; --at) {
+    if (u32_at(at - 4) == 1 && u32_at(at) == payload.size() - at - 4 &&
+        u32_at(at + 4) == vertices && u32_at(at + 8) == 0) {
+      inner = at + 4;
+    }
+  }
+  ASSERT_GT(inner, 0u);
+
+  // Same payload with an empty in-degree array of `size` entries.
+  const auto with_array_of = [&](std::uint64_t size) {
+    std::string inner_state;
+    persist::append_u64(inner_state, size);
+    persist::append_u64(inner_state, 0);
+    std::string crafted = payload.substr(0, inner - 4);
+    persist::append_string(crafted, inner_state);
+    return crafted;
+  };
+  DeltaPlanner at_bound(planner, {}, nullptr);
+  EXPECT_EQ(at_bound.restore_state(with_array_of(vertices)), 1u);
+  DeltaPlanner past_bound(planner, {}, nullptr);
+  EXPECT_THROW(past_bound.restore_state(with_array_of(vertices + 1)), persist::SnapshotError);
+  EXPECT_EQ(past_bound.base_count(), 0u);
 }
 
 TEST(DeltaPlannerPersist, SnapshotSectionIsForwardSkippable) {

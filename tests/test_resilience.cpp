@@ -5,11 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <string>
 #include <thread>
 
 #include "gen/powerlaw.hpp"
 #include "obs/registry.hpp"
-#include "partition/hybrid.hpp"
+#include "partition/factory.hpp"
 #include "partition/weights.hpp"
 #include "util/deadline.hpp"
 #include "util/fault.hpp"
@@ -110,7 +111,10 @@ TEST(CancelScope, DoesNotPropagateToOtherThreads) {
   other.join();
 }
 
-TEST(PartitionerCancellation, HybridHonoursAmbientDeadline) {
+// Hybrid and HDRF are the partitioners that poll the ambient scope.
+class PartitionerCancellation : public ::testing::TestWithParam<PartitionerKind> {};
+
+TEST_P(PartitionerCancellation, HonoursAmbientDeadline) {
   PowerLawConfig config;
   config.num_vertices = 40'000;  // > one 16384-edge poll stride
   config.alpha = 2.0;
@@ -118,20 +122,26 @@ TEST(PartitionerCancellation, HybridHonoursAmbientDeadline) {
   const EdgeList graph = generate_powerlaw(config);
   ASSERT_GT(graph.num_edges(), 16'384u);
 
-  const HybridPartitioner partitioner;
+  const auto partitioner = make_partitioner(GetParam());
   // No scope: runs to completion.
-  const auto baseline = partitioner.partition(graph, uniform_weights(4), 1);
+  const auto baseline = partitioner->partition(graph, uniform_weights(4), 1);
 
   const CancelToken fired(Deadline::after(std::chrono::milliseconds(-1)));
   const CancelScope scope(fired);
-  EXPECT_THROW(partitioner.partition(graph, uniform_weights(4), 1), CancelledError);
+  EXPECT_THROW(partitioner->partition(graph, uniform_weights(4), 1), CancelledError);
 
   // A live (unexpired) scope must not change the output.
   const CancelToken live(Deadline::after_ms(60'000));
   const CancelScope live_scope(live);
-  const auto under_deadline = partitioner.partition(graph, uniform_weights(4), 1);
+  const auto under_deadline = partitioner->partition(graph, uniform_weights(4), 1);
   EXPECT_EQ(baseline.edge_to_machine, under_deadline.edge_to_machine);
 }
+
+INSTANTIATE_TEST_SUITE_P(PollingKinds, PartitionerCancellation,
+                         ::testing::Values(PartitionerKind::kHybrid, PartitionerKind::kHdrf),
+                         [](const ::testing::TestParamInfo<PartitionerKind>& param) {
+                           return std::string(to_string(param.param));
+                         });
 
 TEST(FaultSpecs, ParsesActionsAndTriggers) {
   const auto specs = parse_fault_specs(

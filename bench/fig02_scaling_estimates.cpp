@@ -32,10 +32,7 @@ int main(int argc, char** argv) {
     // Mean real speedup across the natural graphs.
     std::vector<std::vector<double>> per_graph_speedups;
     for (const NamedGraph& g : graphs) {
-      std::vector<double> times;
-      for (const MachineSpec& m : family) {
-        times.push_back(profile_single_machine(m, app, g.graph, scale));
-      }
+      const std::vector<double> times = profile_machines(family, app, g.graph, scale);
       per_graph_speedups.push_back(speedups_vs_baseline(times, 0));
     }
     for (std::size_t i = 0; i < family.size(); ++i) {

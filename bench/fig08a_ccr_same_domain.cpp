@@ -35,20 +35,14 @@ int main(int argc, char** argv) {
     // mean prediction.
     std::vector<std::vector<double>> proxy_speedups;  // per proxy
     for (const auto& proxy : suite.proxies()) {
-      std::vector<double> times;
-      for (const MachineSpec& m : family) {
-        times.push_back(profile_single_machine(m, app, proxy.graph, scale));
-      }
+      const std::vector<double> times = profile_machines(family, app, proxy.graph, scale);
       proxy_speedups.push_back(speedups_vs_baseline(times, 0));
     }
 
     for (std::size_t i = 0; i < family.size(); ++i) {
       std::vector<double> real_s, synth_s;
       for (const NamedGraph& g : graphs) {
-        std::vector<double> times;
-        for (const MachineSpec& m : family) {
-          times.push_back(profile_single_machine(m, app, g.graph, scale));
-        }
+        const std::vector<double> times = profile_machines(family, app, g.graph, scale);
         real_s.push_back(speedups_vs_baseline(times, 0)[i]);
 
         // Per-graph proxy choice by fitted alpha (the flow's pool lookup).

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# ThreadSanitizer gate for the thread-pool and service concurrency code.
+# ThreadSanitizer gate for the thread-pool, profiling and service concurrency
+# code.
 #
 # Configures a dedicated build tree with -DPGLB_SANITIZE=thread, builds the
 # tsan- and fault-labelled test binaries, and runs `ctest -L "tsan|fault"` —
@@ -24,7 +25,7 @@ cmake --build "$BUILD_DIR" -j"$(nproc)" \
            test_obs_trace test_resilience test_service_resilience \
            test_fleet test_fleet_resilience test_autoscale \
            test_wire_server test_tcp_backend test_persist \
-           test_wire test_netfault test_dynamic test_dynamic_protocol \
+           test_wire test_netfault test_dynamic test_dynamic_protocol test_profiler \
            pglb_chaos pglb_loadgen pglb_serve
 ctest --test-dir "$BUILD_DIR" -L 'tsan|fault' --output-on-failure -j"$(nproc)"
 echo "check_tsan: all tsan- and fault-labelled tests passed"

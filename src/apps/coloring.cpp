@@ -24,14 +24,14 @@ bool higher_priority(VertexId a, VertexId b, std::uint64_t seed) {
 }  // namespace
 
 ColoringOutput run_coloring(const EdgeList& graph, const DistributedGraph& dg,
-                            const Cluster& cluster, const WorkloadTraits& traits,
+                            ClusterLanes clusters, const WorkloadTraits& traits,
                             std::uint64_t priority_seed) {
-  if (dg.num_machines() != cluster.size()) {
+  if (dg.num_machines() != clusters.num_machines()) {
     throw std::invalid_argument("run_coloring: machine count mismatch");
   }
   const VertexId n = dg.num_vertices();
   const AppProfile& app = profile_for(AppKind::kColoring);
-  VirtualClusterExecutor exec(cluster, app, traits);
+  VirtualClusterExecutor exec(clusters, app, traits);
   const auto full_comm = mirror_sync_bytes(dg, app);
 
   // Full undirected adjacency for the apply-side mex computation.
@@ -116,7 +116,7 @@ ColoringOutput run_coloring(const EdgeList& graph, const DistributedGraph& dg,
   distinct.erase(kUncolored);
   out.num_colors = static_cast<std::uint32_t>(distinct.size());
   out.colors = std::move(color);
-  out.report = exec.finish("coloring", uncolored == 0);
+  out.set_lanes(exec.finish_lanes("coloring", uncolored == 0));
   return out;
 }
 

@@ -19,14 +19,13 @@
 
 namespace pglb {
 
-struct ColoringOutput {
+struct ColoringOutput : RunReports {
   std::vector<std::uint32_t> colors;
   std::uint32_t num_colors = 0;  ///< distinct colours in use (paper's output)
-  ExecReport report;
 };
 
 ColoringOutput run_coloring(const EdgeList& graph, const DistributedGraph& dg,
-                            const Cluster& cluster, const WorkloadTraits& traits,
+                            ClusterLanes clusters, const WorkloadTraits& traits,
                             std::uint64_t priority_seed = 99);
 
 }  // namespace pglb

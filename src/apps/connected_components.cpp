@@ -10,15 +10,15 @@ namespace pglb {
 
 ConnectedComponentsOutput run_connected_components(const EdgeList& /*graph*/,
                                                    const DistributedGraph& dg,
-                                                   const Cluster& cluster,
+                                                   ClusterLanes clusters,
                                                    const WorkloadTraits& traits,
                                                    int max_iterations) {
-  if (dg.num_machines() != cluster.size()) {
+  if (dg.num_machines() != clusters.num_machines()) {
     throw std::invalid_argument("run_connected_components: machine count mismatch");
   }
   const VertexId n = dg.num_vertices();
   const AppProfile& app = profile_for(AppKind::kConnectedComponents);
-  VirtualClusterExecutor exec(cluster, app, traits);
+  VirtualClusterExecutor exec(clusters, app, traits);
   const auto full_comm = mirror_sync_bytes(dg, app);
 
   std::vector<VertexId> label(n);
@@ -76,7 +76,7 @@ ConnectedComponentsOutput run_connected_components(const EdgeList& /*graph*/,
   ConnectedComponentsOutput out;
   out.num_components = count_components(label);
   out.labels = std::move(label);
-  out.report = exec.finish("connected_components", converged);
+  out.set_lanes(exec.finish_lanes("connected_components", converged));
   return out;
 }
 

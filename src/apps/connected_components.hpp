@@ -14,15 +14,14 @@
 
 namespace pglb {
 
-struct ConnectedComponentsOutput {
+struct ConnectedComponentsOutput : RunReports {
   std::vector<VertexId> labels;     ///< smallest vertex id in each component
   std::uint64_t num_components = 0; ///< including isolated singletons
-  ExecReport report;
 };
 
 ConnectedComponentsOutput run_connected_components(const EdgeList& graph,
                                                    const DistributedGraph& dg,
-                                                   const Cluster& cluster,
+                                                   ClusterLanes clusters,
                                                    const WorkloadTraits& traits,
                                                    int max_iterations = 200);
 

@@ -28,15 +28,15 @@ std::uint32_t h_index(std::span<const std::uint32_t> values, std::uint32_t cap) 
 }  // namespace
 
 KCoreOutput run_kcore(const EdgeList& graph, const DistributedGraph& dg,
-                      const Cluster& cluster, const WorkloadTraits& traits,
+                      ClusterLanes clusters, const WorkloadTraits& traits,
                       int max_iterations) {
-  if (dg.num_machines() != cluster.size()) {
+  if (dg.num_machines() != clusters.num_machines()) {
     throw std::invalid_argument("run_kcore: machine count mismatch");
   }
   const VertexId n = dg.num_vertices();
   // Same demand profile class as Connected Components: frontier propagation.
   const AppProfile& app = profile_for(AppKind::kKCore);
-  VirtualClusterExecutor exec(cluster, app, traits);
+  VirtualClusterExecutor exec(clusters, app, traits);
   const auto full_comm = mirror_sync_bytes(dg, app);
 
   const Csr adj = build_undirected_csr(graph);
@@ -104,7 +104,7 @@ KCoreOutput run_kcore(const EdgeList& graph, const DistributedGraph& dg,
   KCoreOutput out;
   out.degeneracy = core.empty() ? 0 : *std::max_element(core.begin(), core.end());
   out.coreness = std::move(core);
-  out.report = exec.finish("kcore", converged);
+  out.set_lanes(exec.finish_lanes("kcore", converged));
   return out;
 }
 

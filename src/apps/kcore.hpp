@@ -19,14 +19,13 @@
 
 namespace pglb {
 
-struct KCoreOutput {
+struct KCoreOutput : RunReports {
   std::vector<std::uint32_t> coreness;
   std::uint32_t degeneracy = 0;  ///< max coreness (the graph's degeneracy)
-  ExecReport report;
 };
 
 KCoreOutput run_kcore(const EdgeList& graph, const DistributedGraph& dg,
-                      const Cluster& cluster, const WorkloadTraits& traits,
+                      ClusterLanes clusters, const WorkloadTraits& traits,
                       int max_iterations = 10'000);
 
 /// Exact single-node reference: classic peeling with a bucket queue.

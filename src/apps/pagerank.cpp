@@ -9,14 +9,14 @@
 namespace pglb {
 
 PageRankOutput run_pagerank(const EdgeList& graph, const DistributedGraph& dg,
-                            const Cluster& cluster, const WorkloadTraits& traits,
+                            ClusterLanes clusters, const WorkloadTraits& traits,
                             const PageRankOptions& options) {
-  if (dg.num_machines() != cluster.size()) {
+  if (dg.num_machines() != clusters.num_machines()) {
     throw std::invalid_argument("run_pagerank: cluster/partition machine count mismatch");
   }
   const VertexId n = dg.num_vertices();
   const AppProfile& app = profile_for(AppKind::kPageRank);
-  VirtualClusterExecutor exec(cluster, app, traits);
+  VirtualClusterExecutor exec(clusters, app, traits);
   exec.set_interference(options.interference);
 
   const auto out_degree = graph.out_degrees();
@@ -60,7 +60,7 @@ PageRankOutput run_pagerank(const EdgeList& graph, const DistributedGraph& dg,
 
   PageRankOutput out;
   out.ranks = std::move(rank);
-  out.report = exec.finish("pagerank", converged || options.tolerance == 0.0);
+  out.set_lanes(exec.finish_lanes("pagerank", converged || options.tolerance == 0.0));
   return out;
 }
 

@@ -23,13 +23,12 @@ struct PageRankOptions {
   InterferenceSchedule interference;
 };
 
-struct PageRankOutput {
+struct PageRankOutput : RunReports {
   std::vector<double> ranks;
-  ExecReport report;
 };
 
 PageRankOutput run_pagerank(const EdgeList& graph, const DistributedGraph& dg,
-                            const Cluster& cluster, const WorkloadTraits& traits,
+                            ClusterLanes clusters, const WorkloadTraits& traits,
                             const PageRankOptions& options = {});
 
 }  // namespace pglb

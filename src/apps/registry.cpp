@@ -13,46 +13,49 @@ EdgeList prepare_graph_for(AppKind kind, const EdgeList& graph) {
 }
 
 AppRunResult run_app(AppKind kind, const EdgeList& prepared_graph,
-                     const DistributedGraph& dg, const Cluster& cluster,
+                     const DistributedGraph& dg, ClusterLanes clusters,
                      const WorkloadTraits& traits) {
   AppRunResult result;
+  const auto take_reports = [&result](RunReports&& reports) {
+    static_cast<RunReports&>(result) = std::move(reports);
+  };
   switch (kind) {
     case AppKind::kPageRank: {
-      auto out = run_pagerank(prepared_graph, dg, cluster, traits);
+      auto out = run_pagerank(prepared_graph, dg, clusters, traits);
       KahanSum total;
       for (const double r : out.ranks) total.add(r);
       result.digest = total.value();
-      result.report = std::move(out.report);
+      take_reports(std::move(out));
       return result;
     }
     case AppKind::kColoring: {
-      auto out = run_coloring(prepared_graph, dg, cluster, traits);
+      auto out = run_coloring(prepared_graph, dg, clusters, traits);
       result.digest = static_cast<double>(out.num_colors);
-      result.report = std::move(out.report);
+      take_reports(std::move(out));
       return result;
     }
     case AppKind::kConnectedComponents: {
-      auto out = run_connected_components(prepared_graph, dg, cluster, traits);
+      auto out = run_connected_components(prepared_graph, dg, clusters, traits);
       result.digest = static_cast<double>(out.num_components);
-      result.report = std::move(out.report);
+      take_reports(std::move(out));
       return result;
     }
     case AppKind::kTriangleCount: {
-      auto out = run_triangle_count(prepared_graph, dg, cluster, traits);
+      auto out = run_triangle_count(prepared_graph, dg, clusters, traits);
       result.digest = static_cast<double>(out.total_triangles);
-      result.report = std::move(out.report);
+      take_reports(std::move(out));
       return result;
     }
     case AppKind::kKCore: {
-      auto out = run_kcore(prepared_graph, dg, cluster, traits);
+      auto out = run_kcore(prepared_graph, dg, clusters, traits);
       result.digest = static_cast<double>(out.degeneracy);
-      result.report = std::move(out.report);
+      take_reports(std::move(out));
       return result;
     }
     case AppKind::kSssp: {
-      auto out = run_sssp(prepared_graph, dg, cluster, traits);
+      auto out = run_sssp(prepared_graph, dg, clusters, traits);
       result.digest = static_cast<double>(out.reached);
-      result.report = std::move(out.report);
+      take_reports(std::move(out));
       return result;
     }
   }

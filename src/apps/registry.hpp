@@ -19,17 +19,18 @@ namespace pglb {
 /// list as-is.
 EdgeList prepare_graph_for(AppKind kind, const EdgeList& graph);
 
-struct AppRunResult {
-  ExecReport report;
+/// One report per cluster lane (RunReports) plus the result digest.
+struct AppRunResult : RunReports {
   /// App-specific scalar for sanity checking: PageRank = rank L1 norm,
   /// CC = component count, Coloring = colours used, TC = triangle count,
   /// SSSP = reachable vertex count, k-core = degeneracy.
   double digest = 0.0;
 };
 
-/// Run the app on an already-prepared, already-partitioned graph.
+/// Run the app on an already-prepared, already-partitioned graph, accounted
+/// for every cluster lane (one report each; the digest is lane-independent).
 AppRunResult run_app(AppKind kind, const EdgeList& prepared_graph,
-                     const DistributedGraph& dg, const Cluster& cluster,
+                     const DistributedGraph& dg, ClusterLanes clusters,
                      const WorkloadTraits& traits);
 
 }  // namespace pglb

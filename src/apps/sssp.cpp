@@ -8,16 +8,16 @@
 namespace pglb {
 
 SsspOutput run_sssp(const EdgeList& /*graph*/, const DistributedGraph& dg,
-                    const Cluster& cluster, const WorkloadTraits& traits,
+                    ClusterLanes clusters, const WorkloadTraits& traits,
                     VertexId source, int max_iterations) {
-  if (dg.num_machines() != cluster.size()) {
+  if (dg.num_machines() != clusters.num_machines()) {
     throw std::invalid_argument("run_sssp: machine count mismatch");
   }
   const VertexId n = dg.num_vertices();
   if (source >= n) throw std::out_of_range("run_sssp: source outside vertex space");
 
   const AppProfile& app = profile_for(AppKind::kSssp);
-  VirtualClusterExecutor exec(cluster, app, traits);
+  VirtualClusterExecutor exec(clusters, app, traits);
   const auto full_comm = mirror_sync_bytes(dg, app);
 
   std::vector<std::uint32_t> dist(n, kUnreachable);
@@ -71,7 +71,7 @@ SsspOutput run_sssp(const EdgeList& /*graph*/, const DistributedGraph& dg,
     if (d != kUnreachable) ++out.reached;
   }
   out.distance = std::move(dist);
-  out.report = exec.finish("sssp", converged);
+  out.set_lanes(exec.finish_lanes("sssp", converged));
   return out;
 }
 

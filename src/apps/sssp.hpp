@@ -18,14 +18,13 @@ namespace pglb {
 
 inline constexpr std::uint32_t kUnreachable = 0xffffffffu;
 
-struct SsspOutput {
+struct SsspOutput : RunReports {
   std::vector<std::uint32_t> distance;  ///< hops from source; kUnreachable if none
   VertexId reached = 0;                 ///< vertices with finite distance
-  ExecReport report;
 };
 
 SsspOutput run_sssp(const EdgeList& graph, const DistributedGraph& dg,
-                    const Cluster& cluster, const WorkloadTraits& traits,
+                    ClusterLanes clusters, const WorkloadTraits& traits,
                     VertexId source = 0, int max_iterations = 10'000);
 
 }  // namespace pglb

@@ -8,9 +8,9 @@
 namespace pglb {
 
 TriangleCountOutput run_triangle_count(const EdgeList& graph, const DistributedGraph& dg,
-                                       const Cluster& cluster,
+                                       ClusterLanes clusters,
                                        const WorkloadTraits& traits) {
-  if (dg.num_machines() != cluster.size()) {
+  if (dg.num_machines() != clusters.num_machines()) {
     throw std::invalid_argument("run_triangle_count: machine count mismatch");
   }
   for (const Edge& e : graph.edges()) {
@@ -22,7 +22,7 @@ TriangleCountOutput run_triangle_count(const EdgeList& graph, const DistributedG
   }
 
   const AppProfile& app = profile_for(AppKind::kTriangleCount);
-  VirtualClusterExecutor exec(cluster, app, traits);
+  VirtualClusterExecutor exec(clusters, app, traits);
 
   Csr adj = build_undirected_csr(graph);  // sorted adjacency for merges
 
@@ -74,7 +74,7 @@ TriangleCountOutput run_triangle_count(const EdgeList& graph, const DistributedG
   // Each triangle at v was credited once per incident edge (two of them).
   for (std::uint64_t& t : out.per_vertex) t /= 2;
   out.total_triangles = edge_count_sum / 3;
-  out.report = exec.finish("triangle_count", true);
+  out.set_lanes(exec.finish_lanes("triangle_count", true));
   return out;
 }
 

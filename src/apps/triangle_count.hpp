@@ -15,16 +15,15 @@
 
 namespace pglb {
 
-struct TriangleCountOutput {
+struct TriangleCountOutput : RunReports {
   std::uint64_t total_triangles = 0;
   /// Triangles incident to each vertex (the paper's per-vertex output).
   std::vector<std::uint64_t> per_vertex;
-  ExecReport report;
 };
 
 /// `graph` must be canonical undirected (src < dst, no duplicates); throws
 /// std::invalid_argument otherwise.
 TriangleCountOutput run_triangle_count(const EdgeList& graph, const DistributedGraph& dg,
-                                       const Cluster& cluster, const WorkloadTraits& traits);
+                                       ClusterLanes clusters, const WorkloadTraits& traits);
 
 }  // namespace pglb

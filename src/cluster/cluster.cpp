@@ -37,6 +37,15 @@ std::string Cluster::label() const {
   return text;
 }
 
+ClusterLanes::ClusterLanes(std::span<const Cluster> clusters) : clusters_(clusters) {
+  if (clusters_.empty()) throw std::invalid_argument("ClusterLanes: needs at least one cluster");
+  for (const Cluster& c : clusters_) {
+    if (c.size() != num_machines()) {
+      throw std::invalid_argument("ClusterLanes: lanes differ in machine count");
+    }
+  }
+}
+
 Cluster cluster_from_names(std::span<const std::string> names, NetworkModel network) {
   std::vector<MachineSpec> machines;
   machines.reserve(names.size());

@@ -39,6 +39,27 @@ class Cluster {
   NetworkModel network_;
 };
 
+/// The clusters one application run is accounted for, one lane each.  An
+/// app's per-superstep work (ops, mirror bytes) does not depend on machine
+/// speeds, so a single run can be timed on several clusters of the same
+/// machine count at once (VirtualClusterExecutor) — the profiler times one
+/// run per (app, proxy) on every machine class this way.  Implicitly built
+/// from one cluster, the ordinary case.
+class ClusterLanes {
+ public:
+  ClusterLanes(const Cluster& cluster) noexcept : clusters_(&cluster, 1) {}
+  /// Throws std::invalid_argument when `clusters` is empty or the machine
+  /// counts differ.
+  explicit ClusterLanes(std::span<const Cluster> clusters);
+
+  std::size_t size() const noexcept { return clusters_.size(); }
+  const Cluster& operator[](std::size_t lane) const { return clusters_[lane]; }
+  MachineId num_machines() const noexcept { return clusters_.front().size(); }
+
+ private:
+  std::span<const Cluster> clusters_;
+};
+
 /// Convenience: build a cluster from catalog names, e.g.
 /// {"m4.2xlarge", "c4.2xlarge"} for the paper's Case 1.
 Cluster cluster_from_names(std::span<const std::string> names, NetworkModel network = {});

@@ -14,15 +14,16 @@ std::size_t OnlineCcrManager::refresh(const Cluster& cluster) {
   std::size_t runs = 0;
   for (const AppKind app : apps_) {
     for (const ProxySuite::Proxy& proxy : suite_.proxies()) {
-      for (const MachineSpec& machine :
-           db_.missing_machines(cluster, app, proxy.alpha)) {
-        const double seconds =
-            profile_single_machine(machine, app, proxy.graph, suite_.scale());
-        db_.record({app, proxy.alpha, machine.name}, seconds);
-        ++runs;
+      const std::vector<MachineSpec> missing =
+          db_.missing_machines(cluster, app, proxy.alpha);
+      const std::vector<double> seconds =
+          profile_machines(missing, app, proxy.graph, suite_.scale());
+      for (std::size_t i = 0; i < missing.size(); ++i) {
+        db_.record({app, proxy.alpha, missing[i].name}, seconds[i]);
         PGLB_LOG_DEBUG("online profile: ", to_string(app), " alpha=", proxy.alpha,
-                       " on ", machine.name, " -> ", seconds, "s");
+                       " on ", missing[i].name, " -> ", seconds[i], "s");
       }
+      runs += missing.size();
     }
   }
   total_runs_ += runs;

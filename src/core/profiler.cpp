@@ -14,21 +14,44 @@
 
 namespace pglb {
 
-double profile_single_machine(const MachineSpec& spec, AppKind app,
-                              const EdgeList& graph, double scale,
-                              const CancelToken* cancel) {
-  // One profiling cell = one single-machine virtual execution; the span and
-  // counter cover every caller (suite profiling, oracle estimation, the
-  // planning service's per-class fan-out).  Cancellation is checked at cell
-  // granularity: a cell that has started always completes (its output is
-  // bit-identical to an undeadlined run), and a stuck cell is simulated by
-  // the "profiler.cell" fault site rather than interrupted for real.
-  check_cancel(cancel, "profiler.cell");
-  fault_point("profiler.cell");
-  check_cancel(cancel, "profiler.cell");  // a stall may have eaten the budget
-  PGLB_TRACE_SPAN("profile.cell", "profiler");
-  global_registry().count("profiler.cells");
-  const Cluster solo{std::vector<MachineSpec>{spec}};
+namespace {
+
+/// One representative machine per identical-spec group, in group order.
+std::vector<MachineSpec> group_representatives(const Cluster& cluster) {
+  std::vector<MachineSpec> specs;
+  for (const MachineGroup& group : group_machines(cluster)) {
+    specs.push_back(group.representative);
+  }
+  return specs;
+}
+
+}  // namespace
+
+std::vector<double> profile_machines(std::span<const MachineSpec> specs, AppKind app,
+                                     const EdgeList& graph, double scale,
+                                     const CancelToken* cancel, ThreadPool* pool) {
+  if (specs.empty()) return {};
+  // One profiling cell per machine type.  Cancellation is checked at cell
+  // granularity, before the shared run: a run that has started always
+  // completes (its output is bit-identical to an undeadlined run), and a
+  // stuck cell is simulated by the "profiler.cell" fault site rather than
+  // interrupted for real.
+  parallel_for(pool_or_global(pool), specs.size(), 1,
+               [&](std::size_t begin, std::size_t end) {
+                 for (std::size_t i = begin; i < end; ++i) {
+                   check_cancel(cancel, "profiler.cell");
+                   fault_point("profiler.cell");
+                   check_cancel(cancel, "profiler.cell");  // a stall may have eaten the budget
+                   global_registry().count("profiler.cells");
+                 }
+               });
+
+  // The shared run, arg = cells it times.  The span covers every caller
+  // (suite profiling, oracle estimation, the planning service).
+  PGLB_TRACE_SPAN_ARG("profile.cell", "profiler", static_cast<std::uint64_t>(specs.size()));
+  std::vector<Cluster> solos;
+  solos.reserve(specs.size());
+  for (const MachineSpec& spec : specs) solos.emplace_back(std::vector<MachineSpec>{spec});
   const EdgeList prepared = prepare_graph_for(app, graph);
   const GraphStats stats = compute_stats(prepared);
   const WorkloadTraits traits = traits_from_stats(stats, scale);
@@ -38,8 +61,18 @@ double profile_single_machine(const MachineSpec& spec, AppKind app,
   const auto assignment =
       partitioner.partition(prepared, weights, kProfilingPartitionSeed);
   const auto dg = build_distributed(prepared, assignment);
-  const auto result = run_app(app, prepared, dg, solo, traits);
-  return result.report.makespan_seconds;
+  const auto result = run_app(app, prepared, dg, ClusterLanes(solos), traits);
+  std::vector<double> times(specs.size());
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    times[i] = result.lane(i).makespan_seconds;
+  }
+  return times;
+}
+
+double profile_single_machine(const MachineSpec& spec, AppKind app,
+                              const EdgeList& graph, double scale,
+                              const CancelToken* cancel) {
+  return profile_machines({&spec, 1}, app, graph, scale, cancel).front();
 }
 
 void CcrPool::insert(Entry entry) {
@@ -105,38 +138,28 @@ CcrPool profile_cluster(const Cluster& cluster, const ProxySuite& suite,
                         std::span<const AppKind> apps, ThreadPool* thread_pool,
                         const CancelToken* cancel) {
   PGLB_TRACE_SPAN("profile.cluster", "profiler");
-  const auto groups = group_machines(cluster);
+  const std::vector<MachineSpec> representatives = group_representatives(cluster);
   const auto proxies = suite.proxies();
 
-  // Flatten the (app, proxy, group) fan-out: every cell is an independent
-  // single-machine virtual execution writing its own slot.  A CancelledError
+  // Flatten the (app, proxy) fan-out: every run is an independent virtual
+  // execution, timed on each group, writing its own slot.  A CancelledError
   // (or injected fault) from any cell is rethrown by the fan-out.
-  const std::size_t cells = apps.size() * proxies.size() * groups.size();
-  std::vector<double> times(cells, 0.0);
-  parallel_for(pool_or_global(thread_pool), cells, 1,
+  std::vector<std::vector<double>> times(apps.size() * proxies.size());
+  parallel_for(pool_or_global(thread_pool), times.size(), 1,
                [&](std::size_t begin, std::size_t end) {
-                 for (std::size_t cell = begin; cell < end; ++cell) {
-                   const std::size_t g = cell % groups.size();
-                   const std::size_t p = (cell / groups.size()) % proxies.size();
-                   const std::size_t a = cell / (groups.size() * proxies.size());
-                   times[cell] = profile_single_machine(groups[g].representative, apps[a],
-                                                        proxies[p].graph, suite.scale(),
-                                                        cancel);
+                 for (std::size_t run = begin; run < end; ++run) {
+                   times[run] = profile_machines(representatives, apps[run / proxies.size()],
+                                                proxies[run % proxies.size()].graph,
+                                                suite.scale(), cancel, thread_pool);
                  }
                });
 
   // Assemble in the serial iteration order (app-major, then proxy).
   CcrPool pool;
-  std::size_t cell = 0;
+  std::size_t run = 0;
   for (const AppKind app : apps) {
     for (const ProxySuite::Proxy& proxy : proxies) {
-      CcrPool::Entry entry;
-      entry.app = app;
-      entry.proxy_alpha = proxy.alpha;
-      entry.group_times.assign(times.begin() + static_cast<std::ptrdiff_t>(cell),
-                               times.begin() + static_cast<std::ptrdiff_t>(cell + groups.size()));
-      cell += groups.size();
-      pool.insert(std::move(entry));
+      pool.insert({app, proxy.alpha, std::move(times[run++])});
     }
   }
   return pool;
@@ -147,16 +170,8 @@ std::vector<double> profile_groups_on_graph(const Cluster& cluster, AppKind app,
                                             ThreadPool* thread_pool,
                                             const CancelToken* cancel) {
   PGLB_TRACE_SPAN("profile.groups", "profiler");
-  const auto groups = group_machines(cluster);
-  std::vector<double> times(groups.size(), 0.0);
-  parallel_for(pool_or_global(thread_pool), groups.size(), 1,
-               [&](std::size_t begin, std::size_t end) {
-                 for (std::size_t g = begin; g < end; ++g) {
-                   times[g] = profile_single_machine(groups[g].representative, app, graph,
-                                                     scale, cancel);
-                 }
-               });
-  return times;
+  return profile_machines(group_representatives(cluster), app, graph, scale, cancel,
+                          thread_pool);
 }
 
 }  // namespace pglb

@@ -4,6 +4,11 @@
 // no communication interferes — and collect the runtimes into the CCR pool.
 // Profiling is a one-time cost per (application, machine type); the pool is
 // reused across every future input graph.
+//
+// In the virtual-time engine an app's work does not depend on the machine it
+// runs on, so each (app, graph) is run once and its superstep stream is timed
+// on every machine class in the same pass (profile_machines, ClusterLanes);
+// each class still counts as one profiling cell.
 
 #include <span>
 #include <vector>
@@ -27,11 +32,20 @@ class ThreadPool;
 /// lost.  tests/test_profiler.cpp pins this contract.
 inline constexpr std::uint64_t kProfilingPartitionSeed = 0;
 
-/// Virtual-time runtime of `app` on `graph` executed on a single machine of
-/// type `spec` (a one-machine cluster: no mirrors, no communication).
-/// `scale` is the down-scaling factor of `graph` for trait re-inflation.
-/// Each cell checks `cancel` before running (cooperative deadline support)
-/// and carries the "profiler.cell" fault-injection site.
+/// Virtual-time runtimes of `app` on `graph`, one per machine type in
+/// `specs`, each executed as a single machine (a one-machine cluster: no
+/// mirrors, no communication).  `scale` is the down-scaling factor of `graph`
+/// for trait re-inflation.  The app runs once; every spec is one profiling
+/// cell that checks `cancel`, carries the "profiler.cell" fault-injection
+/// site and counts into "profiler.cells" before the run starts.  The cell
+/// checks fan out over `pool` (nullptr = the global pool), so a stalled cell
+/// stalls only itself.
+std::vector<double> profile_machines(std::span<const MachineSpec> specs, AppKind app,
+                                     const EdgeList& graph, double scale,
+                                     const CancelToken* cancel = nullptr,
+                                     ThreadPool* pool = nullptr);
+
+/// profile_machines() for one machine type.
 double profile_single_machine(const MachineSpec& spec, AppKind app,
                               const EdgeList& graph, double scale,
                               const CancelToken* cancel = nullptr);
@@ -72,10 +86,10 @@ class CcrPool {
 };
 
 /// Run the full profiling pass: every app x every proxy x one machine per
-/// group.  Each (app, proxy, group) cell is an independent virtual execution,
-/// so cells fan out over `pool` (nullptr = the global pool); results land in
-/// per-cell slots and are assembled in the serial iteration order, so the
-/// pool is bit-identical at any thread count.
+/// group.  Each (app, proxy) run, timed on every group, is an independent
+/// virtual execution, so runs fan out over `pool` (nullptr = the global
+/// pool); results land in per-run slots and are assembled in the serial
+/// iteration order, so the pool is bit-identical at any thread count.
 /// `cancel` is polled per cell; a fired token aborts the remaining cells and
 /// rethrows CancelledError from the fan-out.
 CcrPool profile_cluster(const Cluster& cluster, const ProxySuite& suite,

@@ -19,10 +19,8 @@ std::vector<CostPoint> cost_efficiency(std::span<const MachineSpec> machines,
   std::vector<CostPoint> points;
   points.reserve(machines.size() * apps.size());
   for (const AppKind app : apps) {
-    std::vector<double> runtimes(machines.size());
-    for (std::size_t j = 0; j < machines.size(); ++j) {
-      runtimes[j] = profile_single_machine(machines[j], app, proxy.graph, suite.scale());
-    }
+    const std::vector<double> runtimes =
+        profile_machines(machines, app, proxy.graph, suite.scale());
     double baseline_time = 0.0;
     for (std::size_t j = 0; j < machines.size(); ++j) {
       if (machines[j].name == baseline) baseline_time = runtimes[j];

@@ -15,19 +15,24 @@ namespace {
 constexpr std::size_t kMachineGrain = 64;
 }  // namespace
 
-VirtualClusterExecutor::VirtualClusterExecutor(const Cluster& cluster, const AppProfile& app,
+VirtualClusterExecutor::VirtualClusterExecutor(ClusterLanes clusters, const AppProfile& app,
                                                const WorkloadTraits& traits)
-    : cluster_(&cluster),
-      app_(&app),
-      work_scale_(traits.work_scale),
-      energy_(std::vector<MachineSpec>(cluster.machines().begin(), cluster.machines().end())),
-      activity_(cluster.size()) {
+    : app_(&app), num_machines_(clusters.num_machines()), work_scale_(traits.work_scale) {
   if (!(work_scale_ >= 1.0)) {
     throw std::invalid_argument("VirtualClusterExecutor: work_scale must be >= 1");
   }
-  throughputs_.reserve(cluster.size());
-  for (MachineId m = 0; m < cluster.size(); ++m) {
-    throughputs_.push_back(throughput_ops(cluster.machine(m), app, traits));
+  lanes_.reserve(clusters.size());
+  for (std::size_t l = 0; l < clusters.size(); ++l) {
+    const Cluster& cluster = clusters[l];
+    Lane lane{&cluster, {},
+              EnergyAccumulator(std::vector<MachineSpec>(cluster.machines().begin(),
+                                                         cluster.machines().end())),
+              std::vector<MachineActivity>(cluster.size()), {}};
+    lane.throughputs.reserve(cluster.size());
+    for (MachineId m = 0; m < cluster.size(); ++m) {
+      lane.throughputs.push_back(throughput_ops(cluster.machine(m), app, traits));
+    }
+    lanes_.push_back(std::move(lane));
   }
 }
 
@@ -45,22 +50,30 @@ void VirtualClusterExecutor::record_superstep(std::span<const double> ops,
   PGLB_TRACE_SPAN_ARG("engine.superstep", "engine",
                       static_cast<std::uint64_t>(supersteps_));
   if (finished_) throw std::logic_error("record_superstep after finish()");
-  if (ops.size() != cluster_->size() || comm_bytes.size() != cluster_->size()) {
+  if (ops.size() != num_machines_ || comm_bytes.size() != num_machines_) {
     throw std::invalid_argument("record_superstep: per-machine vector size mismatch");
   }
 
-  // Shared mirror-exchange phase: a collective over the total traffic of the
-  // superstep.  Every machine is engaged for its full duration.
   double total_bytes = 0.0;
   for (const double b : comm_bytes) total_bytes += b;
-  const double exchange = cluster_->network().exchange_seconds(work_scale_ * total_bytes);
+  for (Lane& lane : lanes_) account(lane, ops, total_bytes);
+  for (const double o : ops) total_ops_ += o;
+  ++supersteps_;
+}
 
-  // Per-machine accounting: every machine owns its busy[m]/activity_[m]
+void VirtualClusterExecutor::account(Lane& lane, std::span<const double> ops,
+                                     double total_bytes) {
+  // Shared mirror-exchange phase: a collective over the total traffic of the
+  // superstep.  Every machine is engaged for its full duration.
+  const double exchange =
+      lane.cluster->network().exchange_seconds(work_scale_ * total_bytes);
+
+  // Per-machine accounting: every machine owns its busy[m]/activity[m]
   // slots, so the loop shards freely.  Only total_ops_ is a cross-machine
   // float reduction; it is summed afterwards in machine order, keeping the
   // report bit-identical at any thread count.
-  std::vector<double> busy(cluster_->size());
-  parallel_for(pool_or_global(pool_), cluster_->size(), kMachineGrain,
+  std::vector<double> busy(num_machines_);
+  parallel_for(pool_or_global(pool_), num_machines_, kMachineGrain,
                [&](std::size_t begin, std::size_t end) {
                  for (std::size_t m = begin; m < end; ++m) {
                    // work_scale re-inflates counts measured on a scaled-down
@@ -68,17 +81,15 @@ void VirtualClusterExecutor::record_superstep(std::span<const double> ops,
                    // proportions scale-invariant.  Interference derates this
                    // machine's throughput for this superstep.
                    const double effective =
-                       throughputs_[m] * interference_.factor(static_cast<MachineId>(m),
-                                                              supersteps_);
+                       lane.throughputs[m] *
+                       interference_.factor(static_cast<MachineId>(m), supersteps_);
                    const double compute = work_scale_ * ops[m] / effective;
                    busy[m] = compute + exchange;
-                   activity_[m].compute_seconds += compute;
-                   activity_[m].comm_seconds += exchange;
-                   activity_[m].ops += ops[m];
+                   lane.activity[m].compute_seconds += compute;
+                   lane.activity[m].comm_seconds += exchange;
+                   lane.activity[m].ops += ops[m];
                  }
                });
-  for (const double o : ops) total_ops_ += o;
-  ++supersteps_;
 
   if (app_->synchronous) {
     // BSP barrier at the end of compute, then the collective exchange: the
@@ -86,56 +97,72 @@ void VirtualClusterExecutor::record_superstep(std::span<const double> ops,
     const auto straggler = static_cast<MachineId>(
         std::max_element(busy.begin(), busy.end()) - busy.begin());
     const double window = busy[straggler];
-    energy_.record_interval(busy, window);
-    for (MachineId m = 0; m < cluster_->size(); ++m) {
-      activity_[m].idle_seconds += window - busy[m];
+    lane.energy.record_interval(busy, window);
+    for (MachineId m = 0; m < num_machines_; ++m) {
+      lane.activity[m].idle_seconds += window - busy[m];
     }
-    makespan_ += window;
+    lane.makespan += window;
 
     SuperstepTrace step;
     step.window_seconds = window;
     step.exchange_seconds = exchange;
     step.straggler = straggler;
     for (const double o : ops) step.total_ops += o;
-    trace_.push_back(step);
+    lane.trace.push_back(step);
   }
   // Asynchronous apps take no per-superstep barrier: busy time accumulated in
-  // activity_ settles into makespan/energy at finish().
+  // activity settles into makespan/energy at finish.
 }
 
-ExecReport VirtualClusterExecutor::finish(std::string app_name, bool converged) {
+std::vector<ExecReport> VirtualClusterExecutor::finish_lanes(std::string app_name,
+                                                             bool converged) {
   if (finished_) throw std::logic_error("finish() called twice");
   finished_ = true;
   global_registry().count("engine.runs");
   global_registry().count("engine.supersteps", static_cast<std::uint64_t>(supersteps_));
 
+  std::vector<ExecReport> reports;
+  reports.reserve(lanes_.size());
+  for (Lane& lane : lanes_) reports.push_back(seal(lane, app_name, converged));
+  return reports;
+}
+
+ExecReport VirtualClusterExecutor::finish(std::string app_name, bool converged) {
+  if (lanes_.size() != 1) {
+    throw std::logic_error("finish(): executor has several lanes; use finish_lanes()");
+  }
+  return std::move(finish_lanes(std::move(app_name), converged).front());
+}
+
+ExecReport VirtualClusterExecutor::seal(Lane& lane, const std::string& app_name,
+                                        bool converged) {
   if (!app_->synchronous) {
     // Async: the run ends when the busiest machine drains its work.
-    std::vector<double> busy(cluster_->size());
+    std::vector<double> busy(num_machines_);
     double window = 0.0;
-    for (MachineId m = 0; m < cluster_->size(); ++m) {
-      busy[m] = activity_[m].compute_seconds + activity_[m].comm_seconds;
+    for (MachineId m = 0; m < num_machines_; ++m) {
+      busy[m] = lane.activity[m].compute_seconds + lane.activity[m].comm_seconds;
       window = std::max(window, busy[m]);
     }
-    energy_.record_interval(busy, window);
-    for (MachineId m = 0; m < cluster_->size(); ++m) {
-      activity_[m].idle_seconds = window - busy[m];
+    lane.energy.record_interval(busy, window);
+    for (MachineId m = 0; m < num_machines_; ++m) {
+      lane.activity[m].idle_seconds = window - busy[m];
     }
-    makespan_ = window;
+    lane.makespan = window;
   }
 
   ExecReport report;
-  report.app_name = std::move(app_name);
-  report.makespan_seconds = makespan_;
+  report.app_name = app_name;
+  report.makespan_seconds = lane.makespan;
   report.supersteps = supersteps_;
   report.converged = converged;
   report.total_ops = total_ops_;
-  report.per_machine = activity_;
-  report.trace = std::move(trace_);
-  for (MachineId m = 0; m < cluster_->size(); ++m) {
-    report.per_machine[m].joules = energy_.per_machine()[m].joules;
+  report.per_machine = lane.activity;
+  report.trace = std::move(lane.trace);
+  for (MachineId m = 0; m < num_machines_; ++m) {
+    report.per_machine[m].joules = lane.energy.per_machine()[m].joules;
   }
-  report.total_joules = energy_.total_joules();
+  report.total_joules = lane.energy.total_joules();
   return report;
 }
 

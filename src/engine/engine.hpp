@@ -25,15 +25,18 @@ class ThreadPool;
 
 class VirtualClusterExecutor {
  public:
-  VirtualClusterExecutor(const Cluster& cluster, const AppProfile& app,
+  /// One accounting lane per cluster: every recorded superstep is converted
+  /// to virtual time on each lane's machines independently, so a lane's
+  /// report is bit-identical to a one-cluster executor's on that cluster.
+  VirtualClusterExecutor(ClusterLanes clusters, const AppProfile& app,
                          const WorkloadTraits& traits);
 
-  /// Sustained work-units/second of machine m for this app/workload
-  /// (nominal, without interference).
-  double throughput(MachineId m) const { return throughputs_.at(m); }
+  /// Sustained work-units/second of machine m of the first lane for this
+  /// app/workload (nominal, without interference).
+  double throughput(MachineId m) const { return lanes_.front().throughputs.at(m); }
 
-  /// Inject a transient-slowdown schedule (multi-tenant interference).  Must
-  /// be called before the first superstep.
+  /// Inject a transient-slowdown schedule (multi-tenant interference) into
+  /// every lane.  Must be called before the first superstep.
   void set_interference(InterferenceSchedule schedule);
 
   /// Shard per-machine superstep accounting over `pool` (nullptr = the global
@@ -45,23 +48,35 @@ class VirtualClusterExecutor {
   /// mirror traffic moved by machine m.
   void record_superstep(std::span<const double> ops, std::span<const double> comm_bytes);
 
-  /// Seal the run and produce the report.
+  /// Seal the run and produce one report per lane, in lane order.
+  std::vector<ExecReport> finish_lanes(std::string app_name, bool converged);
+
+  /// finish_lanes() of a one-lane executor; throws std::logic_error on more
+  /// lanes.
   ExecReport finish(std::string app_name, bool converged);
 
-  MachineId num_machines() const noexcept { return cluster_->size(); }
+  MachineId num_machines() const noexcept { return num_machines_; }
   bool synchronous() const noexcept { return app_->synchronous; }
 
  private:
-  const Cluster* cluster_;
+  struct Lane {
+    const Cluster* cluster;
+    std::vector<double> throughputs;
+    EnergyAccumulator energy;
+    std::vector<MachineActivity> activity;
+    std::vector<SuperstepTrace> trace;
+    double makespan = 0.0;
+  };
+
+  void account(Lane& lane, std::span<const double> ops, double total_bytes);
+  ExecReport seal(Lane& lane, const std::string& app_name, bool converged);
+
   const AppProfile* app_;
+  MachineId num_machines_;
   ThreadPool* pool_ = nullptr;
   double work_scale_ = 1.0;
-  std::vector<double> throughputs_;
+  std::vector<Lane> lanes_;
   InterferenceSchedule interference_;
-  EnergyAccumulator energy_;
-  std::vector<MachineActivity> activity_;
-  std::vector<SuperstepTrace> trace_;
-  double makespan_ = 0.0;
   int supersteps_ = 0;
   double total_ops_ = 0.0;
   bool finished_ = false;

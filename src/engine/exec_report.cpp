@@ -1,7 +1,9 @@
 #include "engine/exec_report.hpp"
 
 #include <cmath>
+#include <iterator>
 #include <sstream>
+#include <stdexcept>
 
 #include "obs/trace.hpp"
 
@@ -24,6 +26,13 @@ double ExecReport::idle_fraction() const noexcept {
   }
   const double total = busy + idle;
   return total > 0.0 ? idle / total : 0.0;
+}
+
+void RunReports::set_lanes(std::vector<ExecReport> lanes) {
+  if (lanes.empty()) throw std::invalid_argument("RunReports::set_lanes: no lanes");
+  report = std::move(lanes.front());
+  other_lanes.assign(std::make_move_iterator(lanes.begin() + 1),
+                     std::make_move_iterator(lanes.end()));
 }
 
 void append_trace_spans(const ExecReport& report, std::int32_t track) {

@@ -49,6 +49,19 @@ struct ExecReport {
   std::string summary() const;
 };
 
+/// The reports of one application run, one per cluster lane (ClusterLanes);
+/// every app's output carries them.  `report` is lane 0 — the whole story of
+/// an ordinary one-cluster run.
+struct RunReports {
+  ExecReport report;
+  std::vector<ExecReport> other_lanes;  ///< lanes 1.., in lane order
+
+  /// Store VirtualClusterExecutor::finish_lanes()'s reports.
+  void set_lanes(std::vector<ExecReport> lanes);
+
+  const ExecReport& lane(std::size_t i) const { return i == 0 ? report : other_lanes.at(i - 1); }
+};
+
 /// Bridge a run's synchronous superstep schedule into the span tracer as
 /// virtual-time spans on track `track` of the "virtual cluster" process
 /// (pid 2 of the Chrome trace): one "superstep" span per barrier window

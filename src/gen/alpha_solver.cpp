@@ -1,7 +1,11 @@
 #include "gen/alpha_solver.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
+#include <map>
+#include <mutex>
 #include <stdexcept>
 
 #include "util/math.hpp"
@@ -38,6 +42,35 @@ std::uint64_t effective_support(VertexId num_vertices, const AlphaSolverOptions&
     support = num_vertices > 1 ? static_cast<std::uint64_t>(num_vertices) - 1 : 1;
   }
   return std::clamp<std::uint64_t>(support, 1, options.support_cap);
+}
+
+/// Memo of fit_alpha_clamped, keyed by its exact inputs (doubles by bit
+/// pattern) and cleared when full: a refit only costs time, never bytes.
+using FitKey = std::array<std::uint64_t, 9>;
+constexpr std::size_t kFitMemoCapacity = 4096;
+
+struct FitMemo {
+  std::mutex mutex;
+  std::map<FitKey, double> fits;
+};
+
+FitMemo& fit_memo() {
+  static FitMemo memo;
+  return memo;
+}
+
+double fit_alpha_unmemoized(VertexId num_vertices, EdgeId num_edges,
+                            const AlphaSolverOptions& options) {
+  const std::uint64_t support = effective_support(num_vertices, options);
+  const double target_mean =
+      static_cast<double>(num_edges) / static_cast<double>(num_vertices);
+  if (target_mean >= powerlaw_mean_degree(options.min_alpha, support)) {
+    return options.min_alpha;  // denser than any representable power law
+  }
+  if (target_mean <= powerlaw_mean_degree(options.max_alpha, support)) {
+    return options.max_alpha;  // sparser than any representable power law
+  }
+  return solve_alpha(num_vertices, num_edges, options).alpha;
 }
 
 }  // namespace
@@ -98,16 +131,25 @@ double fit_alpha_clamped(VertexId num_vertices, EdgeId num_edges,
   if (num_vertices == 0) {
     throw std::invalid_argument("fit_alpha_clamped: graph has no vertices");
   }
-  const std::uint64_t support = effective_support(num_vertices, options);
-  const double target_mean =
-      static_cast<double>(num_edges) / static_cast<double>(num_vertices);
-  if (target_mean >= powerlaw_mean_degree(options.min_alpha, support)) {
-    return options.min_alpha;  // denser than any representable power law
+  const FitKey key{num_vertices,
+                   num_edges,
+                   options.degree_support,
+                   options.support_cap,
+                   std::bit_cast<std::uint64_t>(options.initial_alpha),
+                   std::bit_cast<std::uint64_t>(options.tolerance),
+                   static_cast<std::uint64_t>(options.max_iterations),
+                   std::bit_cast<std::uint64_t>(options.min_alpha),
+                   std::bit_cast<std::uint64_t>(options.max_alpha)};
+  FitMemo& memo = fit_memo();
+  {
+    const std::lock_guard<std::mutex> lock(memo.mutex);
+    if (const auto it = memo.fits.find(key); it != memo.fits.end()) return it->second;
   }
-  if (target_mean <= powerlaw_mean_degree(options.max_alpha, support)) {
-    return options.max_alpha;  // sparser than any representable power law
-  }
-  return solve_alpha(num_vertices, num_edges, options).alpha;
+  const double alpha = fit_alpha_unmemoized(num_vertices, num_edges, options);
+  const std::lock_guard<std::mutex> lock(memo.mutex);
+  if (memo.fits.size() >= kFitMemoCapacity) memo.fits.clear();
+  memo.fits.emplace(key, alpha);
+  return alpha;
 }
 
 }  // namespace pglb

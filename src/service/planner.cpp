@@ -64,20 +64,9 @@ double Planner::resolve_proxy_alpha(double alpha, const CancelToken* cancel) {
 
 double Planner::request_alpha(const PlanRequest& request) {
   if (request.alpha) return *request.alpha;
-  const std::string memo_key =
-      std::to_string(request.vertices) + "/" + std::to_string(request.edges);
-  {
-    std::lock_guard<std::mutex> lock(alpha_mutex_);
-    const auto it = alpha_memo_.find(memo_key);
-    if (it != alpha_memo_.end()) return it->second;
-  }
   const auto vertices = static_cast<VertexId>(
       std::min<std::uint64_t>(request.vertices, std::numeric_limits<VertexId>::max()));
-  const double alpha = fit_alpha_clamped(vertices, request.edges);
-  std::lock_guard<std::mutex> lock(alpha_mutex_);
-  if (alpha_memo_.size() >= 4096) alpha_memo_.clear();  // crude bound; refit is cheap
-  alpha_memo_.emplace(memo_key, alpha);
-  return alpha;
+  return fit_alpha_clamped(vertices, request.edges);
 }
 
 std::string Planner::profile_key(const PlanRequest& request) {
@@ -114,18 +103,14 @@ ProfileCache::EntryPtr Planner::profile(const std::vector<std::string>& classes,
     entry->proxy_full_vertices =
         static_cast<double>(proxy_stats.num_vertices) / options_.proxy_scale;
     entry->proxy_total_degree = total_degree_histogram(proxy_graph);
-    // Each class profile is an independent single-machine virtual run; fan
-    // out over the planner's pool into per-class slots, then emplace in class
-    // order so the entry is byte-stable at any thread count.
-    std::vector<double> class_seconds(classes.size(), 0.0);
-    parallel_for(thread_pool(), classes.size(), 1,
-                 [&](std::size_t begin, std::size_t end) {
-                   for (std::size_t i = begin; i < end; ++i) {
-                     class_seconds[i] = profile_single_machine(
-                         machine_by_name(classes[i]), app, proxy_graph,
-                         options_.proxy_scale, cancel);
-                   }
-                 });
+    // One run of the app on the proxy, timed on every class (one profiling
+    // cell each); times come back in class order, so the entry is
+    // byte-stable at any thread count.
+    std::vector<MachineSpec> specs;
+    specs.reserve(classes.size());
+    for (const std::string& name : classes) specs.push_back(machine_by_name(name));
+    const std::vector<double> class_seconds = profile_machines(
+        specs, app, proxy_graph, options_.proxy_scale, cancel, &thread_pool());
     for (std::size_t i = 0; i < classes.size(); ++i) {
       entry->class_times.emplace_back(classes[i], class_seconds[i]);
     }

@@ -7,15 +7,15 @@
 // exactly the property that makes the paper's method deployable as a
 // service.
 //
-// The expensive stage (synthetic-proxy profiling, Sec. III-B) is memoized in
-// an LRU cache keyed on (machine-class set, app, proxy alpha); repeated
+// The expensive stage (synthetic-proxy profiling, Sec. III-B: one run of the
+// app on the proxy, timed on every machine class) is memoized in an LRU
+// cache keyed on (machine-class set, app, proxy alpha); repeated
 // requests over known machine classes reduce to arithmetic.  All derived
 // numbers are computed from the cached ProfileEntry alone, so a cached plan
 // is byte-identical to a freshly profiled one.
 
 #include <memory>
 #include <mutex>
-#include <unordered_map>
 
 #include "core/proxy_suite.hpp"
 #include "core/time_database.hpp"
@@ -120,10 +120,9 @@ class Planner {
   /// return its alpha.  Guarded by suite_mutex_.
   double resolve_proxy_alpha(double alpha, const CancelToken* cancel = nullptr);
 
-  /// The request's alpha: given directly, or fitted from (V, E).  The Newton
-  /// solve behind fit_alpha_clamped costs O(support) per iteration, so fitted
-  /// values are memoized per (V, E) — it would otherwise dominate the
-  /// warm-cache path.
+  /// The request's alpha: given directly, or fitted from (V, E) through the
+  /// memoized fit_alpha_clamped (which would otherwise dominate the
+  /// warm-cache path).
   double request_alpha(const PlanRequest& request);
 
   ProfileCache::EntryPtr profile(const std::vector<std::string>& classes, AppKind app,
@@ -144,9 +143,6 @@ class Planner {
 
   std::mutex suite_mutex_;  ///< guards suite_ (ensure_coverage mutates it)
   ProxySuite suite_;
-
-  std::mutex alpha_mutex_;  ///< guards alpha_memo_
-  std::unordered_map<std::string, double> alpha_memo_;
 
   mutable std::mutex time_db_mutex_;  ///< guards time_db_
   TimeDatabase time_db_;

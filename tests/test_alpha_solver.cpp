@@ -99,5 +99,18 @@ TEST(SolveAlpha, IsFastEnoughForOnlineUse) {
   EXPECT_LT(timer.milliseconds(), 2000.0);
 }
 
+TEST(FitAlphaClamped, MemoizedFitEqualsTheSolveAndKeysOnOptions) {
+  const double fitted = fit_alpha_clamped(700'001, 7'000'003);
+  EXPECT_EQ(fitted, solve_alpha(700'001, 7'000'003).alpha);
+  EXPECT_EQ(fit_alpha_clamped(700'001, 7'000'003), fitted);  // served from the memo
+
+  AlphaSolverOptions narrow;
+  narrow.degree_support = 1000;
+  const double narrow_fit = fit_alpha_clamped(700'001, 7'000'003, narrow);
+  EXPECT_EQ(narrow_fit, solve_alpha(700'001, 7'000'003, narrow).alpha);
+  EXPECT_NE(narrow_fit, fitted);
+  EXPECT_THROW(fit_alpha_clamped(0, 10), std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace pglb

@@ -2,8 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
+#include "core/ccr.hpp"
 #include "gen/powerlaw.hpp"
+#include "obs/registry.hpp"
+#include "service/planner.hpp"
 #include "test_helpers.hpp"
+#include "util/fault.hpp"
+#include "util/hash.hpp"
 
 namespace pglb {
 namespace {
@@ -123,6 +131,159 @@ TEST(ProfileGroupsOnGraph, MatchesSingleMachineProfiles) {
   EXPECT_DOUBLE_EQ(
       times[0],
       profile_single_machine(machine_by_name("xeon_server_s"), AppKind::kPageRank, g, kScale));
+}
+
+// Golden pins for every profile time.  The digests were captured before
+// profiling was restructured and must never be re-captured to make a change
+// pass: a profile time is part of every plan's bytes (CCR, weights, cache
+// entries, persisted time databases).
+
+constexpr AppKind kAllApps[] = {AppKind::kPageRank,      AppKind::kColoring,
+                                AppKind::kConnectedComponents, AppKind::kTriangleCount,
+                                AppKind::kSssp,          AppKind::kKCore};
+
+std::uint64_t mix_time(std::uint64_t h, double seconds) {
+  return hash_combine(h, std::bit_cast<std::uint64_t>(seconds));
+}
+
+const ProxySuite& golden_suite() {
+  static const ProxySuite suite(kScale);  // the three Table II proxies
+  return suite;
+}
+
+/// Four classes, two of them repeated, so grouping is exercised too.
+Cluster golden_cluster() {
+  return Cluster({machine_by_name("c4.xlarge"), machine_by_name("r3.2xlarge"),
+                  machine_by_name("c4.xlarge"), machine_by_name("xeon_server_l"),
+                  machine_by_name("c4.8xlarge"), machine_by_name("r3.2xlarge")});
+}
+
+TEST(ProfileGolden, SingleMachineTimesArePinned) {
+  // One digest per app over (default proxies x all Table I machines).
+  const std::uint64_t expected[] = {0x1be13c21275d803bull, 0x24e822b633a96a3full,
+                                    0xb516ca9736289ff1ull, 0x9ace70a9f601c189ull,
+                                    0x9586ff7504219582ull, 0x7d618f75ee860fa1ull};
+  for (std::size_t a = 0; a < std::size(kAllApps); ++a) {
+    std::uint64_t h = hash_u64(a, 0x9F0F);
+    for (const ProxySuite::Proxy& proxy : golden_suite().proxies()) {
+      for (const MachineSpec& machine : table1_machines()) {
+        h = mix_time(h, profile_single_machine(machine, kAllApps[a], proxy.graph, kScale));
+      }
+    }
+    EXPECT_EQ(h, expected[a]) << to_string(kAllApps[a]) << std::hex << " actual 0x" << h;
+  }
+}
+
+TEST(ProfileGolden, ClusterPoolIsPinned) {
+  const CcrPool pool = profile_cluster(golden_cluster(), golden_suite(), kAllApps);
+  ASSERT_EQ(pool.entries().size(), std::size(kAllApps) * golden_suite().proxies().size());
+  std::uint64_t h = hash_u64(pool.num_groups(), 0xC0C0);
+  for (const CcrPool::Entry& entry : pool.entries()) {
+    h = hash_combine(h, static_cast<std::uint64_t>(entry.app));
+    h = mix_time(h, entry.proxy_alpha);
+    for (const double t : entry.group_times) h = mix_time(h, t);
+  }
+  EXPECT_EQ(h, 0xdcf073d775189e78ull) << std::hex << "actual 0x" << h;
+}
+
+TEST(ProfileGolden, GroupsOnGraphArePinned) {
+  const auto g = small_graph();
+  const Cluster cluster(std::vector<MachineSpec>(table1_machines().begin(),
+                                                 table1_machines().end()));
+  std::uint64_t h = 0x6A6A;
+  for (const AppKind app : kAllApps) {
+    for (const double t : profile_groups_on_graph(cluster, app, g, kScale)) h = mix_time(h, t);
+  }
+  EXPECT_EQ(h, 0xd15e274f32ca0db2ull) << std::hex << "actual 0x" << h;
+}
+
+// --- one shared run per (app, graph), timed per machine class -------------
+
+TEST(ProfileMachines, EveryClassMatchesARunOfItsOwn) {
+  const auto g = small_graph();
+  const auto machines = table1_machines();
+  for (const AppKind app : kAllApps) {
+    const std::vector<double> shared = profile_machines(machines, app, g, kScale);
+    ASSERT_EQ(shared.size(), machines.size());
+    for (std::size_t i = 0; i < machines.size(); ++i) {
+      EXPECT_EQ(shared[i], profile_single_machine(machines[i], app, g, kScale))
+          << to_string(app) << " on " << machines[i].name;
+    }
+  }
+}
+
+TEST(ProfileMachines, CancelledTokenThrowsAtTheCellBeforeTheRun) {
+  const auto g = small_graph();
+  const CancelToken token;
+  token.cancel();
+  const std::uint64_t runs_before = global_registry().counter("engine.runs");
+  try {
+    profile_machines(table1_machines(), AppKind::kPageRank, g, kScale, &token);
+    FAIL() << "a cancelled token must stop profiling";
+  } catch (const CancelledError& e) {
+    EXPECT_EQ(e.site(), "profiler.cell");
+  }
+  EXPECT_EQ(global_registry().counter("engine.runs"), runs_before);
+}
+
+struct FaultGuard {
+  ~FaultGuard() { FaultRegistry::instance().clear(); }
+};
+
+PlannerOptions tiny_planner_options() {
+  PlannerOptions options;
+  options.proxy_scale = 0.002;
+  options.threads = 3;  // the per-class cells fan out for real
+  return options;
+}
+
+/// Three machine classes (one repeated machine) for one app.
+PlanRequest three_class_request() {
+  PlanRequest request;
+  request.id = "cold";
+  request.app = AppKind::kPageRank;
+  request.machines = {"m4.2xlarge", "c4.2xlarge", "r3.2xlarge", "c4.2xlarge"};
+  request.vertices = 1'000'000;
+  request.edges = 10'000'000;
+  return request;
+}
+
+TEST(SharedProfileRun, ColdPlanRunsOnceAndCountsEveryClass) {
+  ServiceMetrics metrics;
+  Planner planner(tiny_planner_options(), &metrics);
+  const PlanRequest request = three_class_request();
+  const std::uint64_t runs_before = global_registry().counter("engine.runs");
+  const std::uint64_t cells_before = global_registry().counter("profiler.cells");
+  const PlanResponse response = planner.plan(request);
+  ASSERT_TRUE(response.ok) << response.error;
+  EXPECT_TRUE(response.degraded.empty());
+  EXPECT_EQ(global_registry().counter("engine.runs") - runs_before, 1u);
+  EXPECT_EQ(global_registry().counter("profiler.cells") - cells_before, 3u);
+  EXPECT_EQ(metrics.counter("profile_runs"), 3u);
+
+  // The CCR equals one single-machine run per machine on the same proxy.
+  const ProxySuite suite(tiny_planner_options().proxy_scale, PlannerOptions{}.proxy_seed);
+  const ProxySuite::Proxy& proxy = suite.nearest(response.proxy_alpha);
+  ASSERT_EQ(proxy.alpha, response.proxy_alpha);
+  std::vector<double> times;
+  for (const std::string& name : request.machines) {
+    times.push_back(profile_single_machine(machine_by_name(name), request.app, proxy.graph,
+                                           tiny_planner_options().proxy_scale));
+  }
+  EXPECT_EQ(response.ccr, ccr_from_times(times));
+}
+
+TEST(SharedProfileRun, SecondCellFaultDegradesThePlan) {
+  const FaultGuard guard;
+  FaultRegistry::instance().configure("profiler.cell=fail@nth:2");
+  ServiceMetrics metrics;
+  Planner planner(tiny_planner_options(), &metrics);
+  const std::uint64_t runs_before = global_registry().counter("engine.runs");
+  const PlanResponse response = planner.plan(three_class_request());
+  EXPECT_TRUE(response.ok);
+  EXPECT_EQ(response.degraded, "thread_count");
+  EXPECT_EQ(FaultRegistry::instance().injected_count("profiler.cell"), 1u);
+  EXPECT_EQ(global_registry().counter("engine.runs"), runs_before);
 }
 
 }  // namespace

@@ -39,7 +39,9 @@
 // the next ports, drains SIGTERM them — and the run only exits 0 if the
 // fleet scaled up at least once, drained back to the floor after the wave,
 // and produced a populated (cost, p99) Pareto frontier, with zero "error"
-// responses throughout:
+// responses throughout.  Before the wave it times a burst of churn plans on
+// the floor fleet and raises the --wave peak to three times the measured
+// capacity, so the wave overloads the floor on a fast host too:
 //
 //   pglb_loadgen --requests=96 --router=1 --server=./pglb_serve \
 //     --autoscale --wave=60 --churn --max-replicas=3
@@ -161,6 +163,14 @@ PlanRequest request_for(std::size_t combo, std::size_t sequence) {
   return request;
 }
 
+/// --churn alpha of request `sequence`: spaced beyond
+/// ProxySuite::kCoverageMargin from every other sequence's, so each is a
+/// guaranteed coverage miss — the backend generates and profiles a fresh
+/// proxy, sustained planning work no cache can absorb.
+double churn_alpha(std::size_t sequence) {
+  return 3.0 + 2.0 * ProxySuite::kCoverageMargin * static_cast<double>(sequence + 1);
+}
+
 struct LoadReport {
   std::vector<double> latencies_s;
   std::size_t failed = 0;      ///< "error" status responses only
@@ -194,6 +204,8 @@ struct LoadReport {
   std::size_t final_replicas = 0;
   std::size_t floor_replicas = 0;
   std::size_t frontier_size = 0;  ///< machines on the live (cost, p99) frontier
+  double floor_capacity_rps = 0.0;  ///< churn plans/s the floor fleet served
+  double wave_peak_qps = 0.0;       ///< the calibrated wave peak
   /// Chaos mode: response lines in request order (--plans-out) and the final
   /// per-rule injection counters from the proxy's control endpoint.
   std::vector<std::string> responses;
@@ -715,6 +727,38 @@ std::string chaos_metrics(std::uint16_t control_port) {
   return line;
 }
 
+/// Autoscale wave peak, as a multiple of the floor fleet's measured churn
+/// capacity: the middle of the wave arrives faster than the floor can serve,
+/// so a backlog — sustained pressure — builds on any host.
+constexpr double kWaveCapacityMultiple = 3.0;
+
+/// Plans/s the fleet behind `router` serves for churn requests, from a burst
+/// of two per client thread sent closed-loop.  Calibration sequences start at
+/// `first_sequence`, past every wave request's, so they share no proxy with
+/// the wave.  Throws if any calibration plan is not ok.
+double measure_churn_capacity(Router& router, int threads, std::size_t first_sequence) {
+  const std::size_t burst = 2 * static_cast<std::size_t>(std::max(threads, 1));
+  std::atomic<std::size_t> next{0};
+  std::atomic<std::size_t> failed{0};
+  const Stopwatch wall;
+  std::vector<std::thread> senders;
+  for (int t = 0; t < std::max(threads, 1); ++t) {
+    senders.emplace_back([&] {
+      for (std::size_t j = next.fetch_add(1); j < burst; j = next.fetch_add(1)) {
+        PlanRequest request = request_for(j, first_sequence + j);
+        request.alpha = churn_alpha(first_sequence + j);
+        if (!parse_plan_response(router.route(serialize_request(request))).ok) ++failed;
+      }
+    });
+  }
+  for (std::thread& sender : senders) sender.join();
+  if (failed.load() > 0) {
+    throw std::runtime_error("wave calibration: " + std::to_string(failed.load()) +
+                             " churn plan(s) failed");
+  }
+  return static_cast<double>(burst) / wall.seconds();
+}
+
 /// Route the mix through an in-process fleet Router over K spawned backends.
 /// Backend 0 is SIGKILLed / restarted on the configured schedule — the
 /// router must absorb both transitions with typed responses only.
@@ -810,18 +854,33 @@ LoadReport run_against_router(SpawnOptions spawn_options, std::size_t requests,
             ? requests * run.restart_at_pct / 100
             : requests;
     std::mutex fleet_mutex;  // guards `children` across kill/restart/autoscale
+    // Requests after the restart point wait for the restart, so every one of
+    // them can reach the restarted b0 however fast the others are served.
+    std::atomic<bool> restart_done{restart_at >= requests || fleet_size <= 1};
+
+    // An autoscale wave must overload the floor fleet however fast this host
+    // serves it, or the gate would judge the host instead of the controller.
+    double wave_peak_qps = run.wave_peak_qps;
+    if (run.autoscale && wave_peak_qps > 0.0) {
+      report.floor_capacity_rps = measure_churn_capacity(*router, threads, requests);
+      wave_peak_qps =
+          std::max(wave_peak_qps, kWaveCapacityMultiple * report.floor_capacity_rps);
+      report.wave_peak_qps = wave_peak_qps;
+      std::cerr << "loadgen: autoscale: floor capacity " << report.floor_capacity_rps
+                << " plans/s, wave peak " << wave_peak_qps << " req/s\n";
+    }
 
     // Diurnal wave: open-loop send times along a half-sine peaking at
     // wave_peak_qps mid-run, floored at 5% of peak so the tail still drains.
     std::vector<double> send_at;
-    if (run.wave_peak_qps > 0.0) {
+    if (wave_peak_qps > 0.0) {
       send_at.resize(requests);
       constexpr double kPi = 3.14159265358979323846;
       double t = 0.0;
       for (std::size_t i = 0; i < requests; ++i) {
         const double phase =
             kPi * (static_cast<double>(i) + 0.5) / static_cast<double>(requests);
-        const double rate = run.wave_peak_qps * std::max(0.05, std::sin(phase));
+        const double rate = wave_peak_qps * std::max(0.05, std::sin(phase));
         t += 1.0 / rate;
         send_at[i] = t;
       }
@@ -954,9 +1013,17 @@ LoadReport run_against_router(SpawnOptions spawn_options, std::size_t requests,
               // A fresh ephemeral port means the router's b0 must be
               // re-pointed before its prober can see the replica again.
               tcp_backends[0]->set_port(children[0].port);
+              // The replica is verified listening: re-admit it now, as the
+              // autoscale rejoin does, instead of leaving the rest of the
+              // run to race the next health probe.
+              router->fleet().record_success(0);
               report.b0_restarted = true;
               std::cerr << "loadgen: restarted backend b0 at request " << i << "\n";
             }
+            restart_done = true;
+          }
+          while (i > restart_at && !restart_done.load()) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
           }
           if (!send_at.empty()) {
             // Open-loop pacing: hold this slot until the wave schedule says
@@ -969,14 +1036,7 @@ LoadReport run_against_router(SpawnOptions spawn_options, std::size_t requests,
             }
           }
           PlanRequest request = request_for(i % distinct, i);
-          if (run.churn) {
-            // Unique alpha spaced beyond ProxySuite::kCoverageMargin from
-            // every other request's: each is a guaranteed coverage miss, so
-            // the backend generates and profiles a fresh proxy — sustained
-            // planning work no cache can absorb.
-            request.alpha = 3.0 + 2.0 * ProxySuite::kCoverageMargin *
-                                      static_cast<double>(i + 1);
-          }
+          if (run.churn) request.alpha = churn_alpha(i);
           if (timeout_ms > 0) request.timeout_ms = timeout_ms;
           const std::string line = serialize_request(request);
           const Stopwatch timer;
@@ -1416,6 +1476,10 @@ int main(int argc, char** argv) {
           static_cast<std::uint64_t>(report.final_replicas));
       table.row().cell("pareto frontier").cell(
           static_cast<std::uint64_t>(report.frontier_size));
+      if (report.wave_peak_qps > 0.0) {
+        table.row().cell("floor capacity plans/s").cell(report.floor_capacity_rps, 1);
+        table.row().cell("wave peak req/s").cell(report.wave_peak_qps, 1);
+      }
     }
     table.print(std::cout);
 

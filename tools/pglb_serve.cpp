@@ -65,6 +65,7 @@
 
 #ifdef __unix__
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -261,6 +262,10 @@ int serve_socket(PlanServer& server, int port, const std::string& port_file) {
       return 1;
     }
     g_connection_fd = connection;
+    // Responses are small and latency-sensitive; never hold one back for
+    // Nagle (TcpBackend sets the same option on the router's side).
+    const int one = 1;
+    ::setsockopt(connection, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     // serve_fd reads the socket through a deadline-aware streambuf so a peer
     // that never sends its hello (or goes silent mid-session) is reaped by
     // --handshake-timeout-ms / --idle-timeout-ms instead of pinning the

@@ -19,11 +19,12 @@ BUILD_DIR="${1:-build-tsan}"
 cmake -B "$BUILD_DIR" -S . -DPGLB_SANITIZE=thread -DCMAKE_BUILD_TYPE=RelWithDebInfo
 # pglb_chaos/pglb_loadgen/pglb_serve back the fault-labelled chaos_drill and
 # dynamic_drill, so the proxy's pump threads, the hardened transport, and the
-# delta-planning path all run under tsan too.
+# delta-planning path all run under tsan too.  test_fleet_controller spawns
+# pglb_serve children and runs the autoscale controller thread.
 cmake --build "$BUILD_DIR" -j"$(nproc)" \
   --target test_thread_pool test_parallel_determinism test_service_server \
            test_obs_trace test_resilience test_service_resilience \
-           test_fleet test_fleet_resilience test_autoscale \
+           test_fleet test_fleet_resilience test_autoscale test_fleet_controller \
            test_wire_server test_tcp_backend test_persist \
            test_wire test_netfault test_dynamic test_dynamic_protocol test_profiler \
            pglb_chaos pglb_loadgen pglb_serve

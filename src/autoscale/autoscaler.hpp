@@ -6,9 +6,9 @@
 //    IN the sample (now_ms), never from a wall clock, so unit tests drive
 //    hysteresis, cooldown, and bounds on a virtual clock with zero processes
 //    (the same idiom as FleetOptions::clock_ms and BreakerOptions::clock_ms).
-//  * the actuator — pglb_router's controller thread, which samples the fleet,
-//    calls decide(), and turns ScaleUp/Drain into spawn / SIGTERM-drain using
-//    the machinery the fleet smoke already exercises.  Rendezvous hashing
+//  * the actuator — FleetController (autoscale/fleet_controller.hpp), whose
+//    thread samples the fleet, calls decide(), and turns ScaleUp/Drain into
+//    ReplicaSet spawn / rejoin / SIGTERM-drain moves.  Rendezvous hashing
 //    guarantees a drained replica's keys (and only its keys) re-home.
 //
 // Hysteresis: pressure (mean in-flight + shed queue depth per active replica)
@@ -131,7 +131,7 @@ class Autoscaler {
 
 /// Build a FleetSample from the live registry + obs metrics: state, inflight
 /// and queue depth per backend plus the route p99.  spec_name is left empty —
-/// the actuator, which knows what it spawned, fills it in.
+/// FleetController::sample(), which knows what it spawned, fills it in.
 FleetSample sample_fleet(const FleetRegistry& fleet, const Registry& metrics);
 
 }  // namespace pglb

@@ -25,6 +25,13 @@ std::vector<MachineSpec> group_representatives(const Cluster& cluster) {
   return specs;
 }
 
+/// `step()` under a child span of `profile.cell` (literal name/category).
+template <typename Step>
+auto traced(const char* name, const char* category, Step&& step) {
+  PGLB_TRACE_SPAN(name, category);
+  return step();
+}
+
 }  // namespace
 
 std::vector<double> profile_machines(std::span<const MachineSpec> specs, AppKind app,
@@ -52,16 +59,21 @@ std::vector<double> profile_machines(std::span<const MachineSpec> specs, AppKind
   std::vector<Cluster> solos;
   solos.reserve(specs.size());
   for (const MachineSpec& spec : specs) solos.emplace_back(std::vector<MachineSpec>{spec});
-  const EdgeList prepared = prepare_graph_for(app, graph);
-  const GraphStats stats = compute_stats(prepared);
+  const EdgeList prepared = traced("profile.prepare", "profiler",
+                                  [&] { return prepare_graph_for(app, graph); });
+  const GraphStats stats =
+      traced("profile.stats", "profiler", [&] { return compute_stats(prepared); });
   const WorkloadTraits traits = traits_from_stats(stats, scale);
 
   const RandomHashPartitioner partitioner;
   const std::vector<double> weights{1.0};
   const auto assignment =
       partitioner.partition(prepared, weights, kProfilingPartitionSeed);
-  const auto dg = build_distributed(prepared, assignment);
-  const auto result = run_app(app, prepared, dg, ClusterLanes(solos), traits);
+  const auto dg = traced("engine.build", "engine",
+                         [&] { return build_distributed(prepared, assignment); });
+  const auto result = traced("engine.run", "engine", [&] {
+    return run_app(app, prepared, dg, ClusterLanes(solos), traits);
+  });
   std::vector<double> times(specs.size());
   for (std::size_t i = 0; i < specs.size(); ++i) {
     times[i] = result.lane(i).makespan_seconds;

@@ -30,6 +30,7 @@
 #include <deque>
 #include <future>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -47,6 +48,14 @@ enum class WireMode {
   kLineJson,  ///< never send a hello: byte-identical legacy protocol
   kBinary,    ///< hello required; a declined handshake is a connect failure
 };
+
+/// The --wire flag's values: "auto" | "line" | "binary"; throws otherwise.
+inline WireMode wire_mode_from_name(const std::string& name) {
+  if (name == "auto") return WireMode::kAuto;
+  if (name == "line") return WireMode::kLineJson;
+  if (name == "binary") return WireMode::kBinary;
+  throw std::runtime_error("--wire must be auto, line, or binary");
+}
 
 /// Jittered exponential backoff between reconnect attempts.  Without it a
 /// dead replica is re-dialed on EVERY submit — a tight retry loop that turns

@@ -48,7 +48,8 @@
 //
 // Chaos mode (docs/CHAOS.md): --chaos=SCENARIO (fleet mode only) spawns the
 // `pglb_chaos` fault-injection proxy between the router and its replicas and
-// points every TcpBackend at the proxy's ports.  The scenario uses the
+// points every TcpBackend at the proxy's ports; the kill drill must be off
+// (--kill-at=0 --restart-at=0).  The scenario uses the
 // netfault grammar (util/netfault.hpp); --chaos-seed seeds its RNG chains and
 // --chaos-proxy names the binary (default ./pglb_chaos).  After the run the
 // proxy's control endpoint is queried and a parseable per-rule summary is
@@ -105,15 +106,12 @@
 #include <thread>
 #include <vector>
 
-#include "autoscale/autoscaler.hpp"
+#include "autoscale/fleet_controller.hpp"
 #include "core/proxy_suite.hpp"
 #include "dynamic/mutation.hpp"
 #include "gen/powerlaw.hpp"
 #include "partition/factory.hpp"
-#include "fleet/router.hpp"
-#include "fleet/spawn.hpp"
-#include "fleet/tcp_backend.hpp"
-#include "fleet/warming.hpp"
+#include "fleet/replica_set.hpp"
 #include "obs/registry.hpp"
 #include "service/server.hpp"
 #include "util/cli.hpp"
@@ -625,16 +623,6 @@ LoadReport run_against_server(const std::string& server_path, std::size_t reques
 }
 
 // --- fleet mode -------------------------------------------------------------
-// Children come from the shared spawn helpers (fleet/spawn.hpp): ephemeral
-// ports by default, published via the port-file handshake, so parallel ctest
-// runs never collide on a fixed port range.
-
-WireMode wire_mode_from_name(const std::string& name) {
-  if (name == "auto") return WireMode::kAuto;
-  if (name == "line") return WireMode::kLineJson;
-  if (name == "binary") return WireMode::kBinary;
-  throw std::runtime_error("--wire must be auto, line, or binary");
-}
 
 /// Fleet-mode knobs beyond the basic spawn parameters: the configurable
 /// kill/restart schedule, the wave arrival shape, cache churn, and the
@@ -664,6 +652,13 @@ struct ChaosChild {
   pid_t pid = -1;
   std::vector<std::uint16_t> ports;
   std::uint16_t control_port = 0;
+
+  void stop(int signal) {
+    if (pid <= 0) return;
+    kill(pid, signal);
+    waitpid(pid, nullptr, 0);
+    pid = -1;
+  }
 };
 
 ChaosChild spawn_chaos(const RouterRunOptions& run,
@@ -767,390 +762,221 @@ LoadReport run_against_router(SpawnOptions spawn_options, std::size_t requests,
                               std::uint64_t timeout_ms, std::size_t fleet_size,
                               std::uint16_t base_port, std::uint64_t hedge_ms,
                               const RouterRunOptions& run) {
-  if (base_port == 0) {
-    spawn_options.port_dir = make_port_dir();
-    std::cerr << "loadgen: port-dir " << spawn_options.port_dir << "\n";
-  }
-  const auto fixed_port = [&](std::size_t slot,
-                              std::uint16_t current) -> std::uint16_t {
-    if (base_port == 0) return 0;  // ephemeral: respawn picks a fresh port
-    return current != 0 ? current
-                        : static_cast<std::uint16_t>(base_port + slot);
-  };
-  std::vector<ServeChild> children;
+  RouterOptions options;
+  options.hedge_delay_ms = hedge_ms;
+  options.probe_interval_ms = 100;
+  Registry router_metrics;
+  ReplicaSet fleet(std::move(spawn_options), base_port, run.wire, "loadgen: ",
+                   options, &router_metrics);
+  fleet.spawn(fleet_size);
+
+  // Chaos interposition: spawn the fault proxy over the live replica ports
+  // and hand the router the PROXY ports instead.  Scenario windows run on
+  // the proxy's clock, which starts here — a few ms before the first
+  // request, so from:<ms> offsets are effectively run-relative.  The proxy
+  // is this tool's own child: SIGKILLed on any error path, SIGTERMed after
+  // the replicas on the normal one.
   ChaosChild chaos;
-  const auto kill_children = [&] {
-    for (ServeChild& child : children) {
-      if (child.pid > 0) kill(child.pid, SIGKILL);
-    }
-    if (chaos.pid > 0) kill(chaos.pid, SIGKILL);
-    for (ServeChild& child : children) {
-      int status = 0;
-      if (child.pid > 0) waitpid(child.pid, &status, 0);
-      child.pid = -1;
-    }
-    if (chaos.pid > 0) {
-      int status = 0;
-      waitpid(chaos.pid, &status, 0);
-      chaos.pid = -1;
-    }
-  };
-  try {
+  struct ChaosReaper {
+    ChaosChild& child;
+    ~ChaosReaper() { child.stop(SIGKILL); }
+  } chaos_reaper{chaos};
+  if (!run.chaos_scenario.empty()) {
+    std::vector<std::uint16_t> replica_ports;
     for (std::size_t k = 0; k < fleet_size; ++k) {
-      children.push_back(spawn_serve(spawn_options, fixed_port(k, 0),
-                                     "b" + std::to_string(k)));
+      replica_ports.push_back(fleet.child(k).port);
     }
-    for (std::size_t k = 0; k < fleet_size; ++k) {
-      wait_serve_ready(children[k], spawn_options, "b" + std::to_string(k),
-                       30'000);
-    }
-
-    // Chaos interposition: spawn the fault proxy over the live replica ports
-    // and hand the router the PROXY ports instead.  Scenario windows run on
-    // the proxy's clock, which starts here — a few ms before the first
-    // request, so from:<ms> offsets are effectively run-relative.
-    std::vector<std::uint16_t> backend_ports;
-    for (const ServeChild& child : children) backend_ports.push_back(child.port);
-    if (!run.chaos_scenario.empty()) {
-      if (spawn_options.port_dir.empty()) {
-        spawn_options.port_dir = make_port_dir();
-      }
-      chaos = spawn_chaos(run, backend_ports, spawn_options.port_dir);
-      backend_ports = chaos.ports;
-      std::cerr << "loadgen: chaos proxy up (control port "
-                << chaos.control_port << ")\n";
-    }
-
-    RouterOptions options;
-    options.hedge_delay_ms = hedge_ms;
-    options.probe_interval_ms = 100;
-    Registry router_metrics;
-    auto router = std::make_unique<Router>(options, &router_metrics);
-    // Kept so respawns onto fresh ephemeral ports can re-point the existing
-    // backend (set_port) without disturbing its fleet slot.
-    std::vector<std::shared_ptr<TcpBackend>> tcp_backends;
-    for (std::size_t k = 0; k < fleet_size; ++k) {
-      tcp_backends.push_back(
-          std::make_shared<TcpBackend>("b" + std::to_string(k),
-                                       backend_ports[k], "127.0.0.1", run.wire));
-      router->add_backend(tcp_backends.back());
-    }
-    router->start();
-
-    LoadReport report;
-    report.latencies_s.resize(requests);
-    if (run.collect_responses) report.responses.resize(requests);
-    std::atomic<std::size_t> failed{0}, degraded{0}, timeouts{0}, overloaded{0};
-    std::atomic<bool> first_error{false};
-    std::atomic<std::size_t> next{0};
-    // A percentage outside (0, 100) maps to `requests`, which no request
-    // index ever equals — the event simply never fires.
-    const std::size_t kill_at =
-        run.kill_at_pct > 0 && run.kill_at_pct < 100
-            ? requests * run.kill_at_pct / 100
-            : requests;
-    const std::size_t restart_at =
-        run.restart_at_pct > 0 && run.restart_at_pct < 100
-            ? requests * run.restart_at_pct / 100
-            : requests;
-    std::mutex fleet_mutex;  // guards `children` across kill/restart/autoscale
-    // Requests after the restart point wait for the restart, so every one of
-    // them can reach the restarted b0 however fast the others are served.
-    std::atomic<bool> restart_done{restart_at >= requests || fleet_size <= 1};
-
-    // An autoscale wave must overload the floor fleet however fast this host
-    // serves it, or the gate would judge the host instead of the controller.
-    double wave_peak_qps = run.wave_peak_qps;
-    if (run.autoscale && wave_peak_qps > 0.0) {
-      report.floor_capacity_rps = measure_churn_capacity(*router, threads, requests);
-      wave_peak_qps =
-          std::max(wave_peak_qps, kWaveCapacityMultiple * report.floor_capacity_rps);
-      report.wave_peak_qps = wave_peak_qps;
-      std::cerr << "loadgen: autoscale: floor capacity " << report.floor_capacity_rps
-                << " plans/s, wave peak " << wave_peak_qps << " req/s\n";
-    }
-
-    // Diurnal wave: open-loop send times along a half-sine peaking at
-    // wave_peak_qps mid-run, floored at 5% of peak so the tail still drains.
-    std::vector<double> send_at;
-    if (wave_peak_qps > 0.0) {
-      send_at.resize(requests);
-      constexpr double kPi = 3.14159265358979323846;
-      double t = 0.0;
-      for (std::size_t i = 0; i < requests; ++i) {
-        const double phase =
-            kPi * (static_cast<double>(i) + 0.5) / static_cast<double>(requests);
-        const double rate = wave_peak_qps * std::max(0.05, std::sin(phase));
-        t += 1.0 / rate;
-        send_at[i] = t;
-      }
-    }
-
-    const Stopwatch wall;
-
-    // Autoscale controller: sample -> decide -> actuate, the same loop
-    // pglb_router runs, scoped to this in-process fleet.
-    std::unique_ptr<Autoscaler> autoscaler;
-    std::mutex as_mutex;
-    std::condition_variable as_cv;
-    bool as_stop = false;
-    std::thread controller;
-    if (run.autoscale) {
-      AutoscalerOptions as_options = run.autoscaler;
-      as_options.min_replicas = fleet_size;
-      autoscaler = std::make_unique<Autoscaler>(as_options, &router_metrics);
-      controller = std::thread([&] {
-        std::unique_lock<std::mutex> lock(as_mutex);
-        while (!as_stop) {
-          as_cv.wait_for(lock, std::chrono::milliseconds(run.autoscale_ms),
-                         [&] { return as_stop; });
-          if (as_stop) return;
-          lock.unlock();
-          const FleetSample sample =
-              sample_fleet(router->fleet(), router_metrics);
-          const ScaleDecision decision = autoscaler->decide(sample);
-          if (const auto* up = std::get_if<ScaleUp>(&decision)) {
-            std::lock_guard<std::mutex> fleet_lock(fleet_mutex);
-            // Rejoin a drained slot (same port, same keys rendezvous back)
-            // before renting a fresh one on the next port.
-            std::size_t rejoin = children.size();
-            for (std::size_t k = 0; k < children.size(); ++k) {
-              if (children[k].pid < 0 &&
-                  router->fleet().status(k).state == BackendState::kDraining) {
-                rejoin = k;
-                break;
-              }
-            }
-            try {
-              if (rejoin < children.size()) {
-                const std::string tag = "b" + std::to_string(rejoin);
-                children[rejoin] = spawn_serve(
-                    spawn_options, fixed_port(rejoin, children[rejoin].port),
-                    tag);
-                wait_serve_ready(children[rejoin], spawn_options, tag, 30'000);
-                // The respawn may land on a fresh ephemeral port; re-point
-                // the existing backend (same name, same rendezvous keys).
-                tcp_backends[rejoin]->set_port(children[rejoin].port);
-                router->fleet().set_draining(rejoin, false);
-                router->fleet().record_success(rejoin);
-                std::cerr << "loadgen: autoscale: scale-up b" << rejoin
-                          << " (rejoin)\n";
-                if (run.warm_limit > 0) {
-                  WarmingOptions warm_options;
-                  warm_options.per_backend_limit = run.warm_limit;
-                  warm_options.max_prefetch = run.warm_limit;
-                  const WarmReport warm = warm_replica(
-                      router->fleet(), rejoin, warm_options, &router_metrics);
-                  autoscaler->record_warming(warm.keys_owned, warm.keys_warmed);
-                }
-              } else {
-                const std::string tag = "b" + std::to_string(children.size());
-                children.push_back(spawn_serve(
-                    spawn_options, fixed_port(children.size(), 0), tag));
-                wait_serve_ready(children.back(), spawn_options, tag, 30'000);
-                const std::string name = "b" + std::to_string(children.size() - 1);
-                tcp_backends.push_back(std::make_shared<TcpBackend>(
-                    name, children.back().port, "127.0.0.1", run.wire));
-                router->add_backend(tcp_backends.back(), up->weight);
-                std::cerr << "loadgen: autoscale: scale-up " << name << " ("
-                          << up->spec.name << ")\n";
-                if (run.warm_limit > 0) {
-                  WarmingOptions warm_options;
-                  warm_options.per_backend_limit = run.warm_limit;
-                  warm_options.max_prefetch = run.warm_limit;
-                  const WarmReport warm =
-                      warm_replica(router->fleet(), tcp_backends.size() - 1,
-                                   warm_options, &router_metrics);
-                  autoscaler->record_warming(warm.keys_owned, warm.keys_warmed);
-                }
-              }
-            } catch (const std::exception& e) {
-              std::cerr << "loadgen: autoscale: scale-up failed: " << e.what()
-                        << "\n";
-            }
-          } else if (const auto* drain = std::get_if<DrainReplica>(&decision)) {
-            std::lock_guard<std::mutex> fleet_lock(fleet_mutex);
-            if (drain->index < children.size() &&
-                children[drain->index].pid > 0) {
-              router->fleet().set_draining(drain->index, true);
-              kill(children[drain->index].pid, SIGTERM);
-              int status = 0;
-              waitpid(children[drain->index].pid, &status, 0);
-              children[drain->index].pid = -1;
-              std::cerr << "loadgen: autoscale: drained " << drain->backend
-                        << "\n";
-            }
-          }
-          lock.lock();
-        }
-      });
-    }
-    std::vector<std::thread> clients;
-    for (int t = 0; t < threads; ++t) {
-      clients.emplace_back([&] {
-        while (true) {
-          const std::size_t i = next.fetch_add(1);
-          if (i >= requests) return;
-          if (i == kill_at && fleet_size > 1) {
-            // Default: hard failure, not a drain — SIGKILL mid-connection.
-            // The router sees BackendError, marks b0 down, and fails over.
-            // --kill-mode=term sends SIGTERM instead: the graceful drain,
-            // which lets a --snapshot-dir backend save its warm state.
-            std::lock_guard<std::mutex> lock(fleet_mutex);
-            kill(children[0].pid, run.kill_term ? SIGTERM : SIGKILL);
-            int status = 0;
-            waitpid(children[0].pid, &status, 0);
-            children[0].pid = -1;
-            std::cerr << "loadgen: " << (run.kill_term ? "terminated" : "killed")
-                      << " backend b0 at request " << i << "\n";
-          }
-          if (i == restart_at && fleet_size > 1) {
-            std::lock_guard<std::mutex> lock(fleet_mutex);
-            if (children[0].pid < 0) {
-              children[0] = spawn_serve(spawn_options,
-                                        fixed_port(0, children[0].port), "b0");
-              wait_serve_ready(children[0], spawn_options, "b0", 30'000);
-              // A fresh ephemeral port means the router's b0 must be
-              // re-pointed before its prober can see the replica again.
-              tcp_backends[0]->set_port(children[0].port);
-              // The replica is verified listening: re-admit it now, as the
-              // autoscale rejoin does, instead of leaving the rest of the
-              // run to race the next health probe.
-              router->fleet().record_success(0);
-              report.b0_restarted = true;
-              std::cerr << "loadgen: restarted backend b0 at request " << i << "\n";
-            }
-            restart_done = true;
-          }
-          while (i > restart_at && !restart_done.load()) {
-            std::this_thread::sleep_for(std::chrono::milliseconds(1));
-          }
-          if (!send_at.empty()) {
-            // Open-loop pacing: hold this slot until the wave schedule says
-            // request i arrives.
-            for (;;) {
-              const double remain = send_at[i] - wall.seconds();
-              if (remain <= 0.0) break;
-              std::this_thread::sleep_for(
-                  std::chrono::duration<double>(std::min(remain, 0.005)));
-            }
-          }
-          PlanRequest request = request_for(i % distinct, i);
-          if (run.churn) request.alpha = churn_alpha(i);
-          if (timeout_ms > 0) request.timeout_ms = timeout_ms;
-          const std::string line = serialize_request(request);
-          const Stopwatch timer;
-          const std::string response_line = router->route(line);
-          report.latencies_s[i] = timer.seconds();
-          if (run.collect_responses) report.responses[i] = response_line;
-          const PlanResponse response = parse_plan_response(response_line);
-          tally_response(response, response_line, failed, degraded, timeouts,
-                         overloaded, first_error);
-        }
-      });
-    }
-    for (std::thread& client : clients) client.join();
-    report.wall_seconds = wall.seconds();
-    report.failed = failed.load();
-    report.degraded = degraded.load();
-    report.timeouts = timeouts.load();
-    report.overloaded = overloaded.load();
-
-    if (autoscaler) {
-      // Convergence: the wave has passed; give the controller time to drain
-      // the extra replicas back to the floor before judging the run.
-      const Stopwatch settle;
-      while (settle.seconds() < 20.0) {
-        if (static_cast<std::size_t>(router_metrics.gauge(
-                "autoscale.replicas")) <= fleet_size) {
-          break;
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds(50));
-      }
-      {
-        std::lock_guard<std::mutex> lock(as_mutex);
-        as_stop = true;
-      }
-      as_cv.notify_all();
-      controller.join();
-      report.autoscaled = true;
-      report.scale_ups = router_metrics.counter("autoscale.scale_ups");
-      report.drains = router_metrics.counter("autoscale.drains");
-      report.final_replicas =
-          static_cast<std::size_t>(router_metrics.gauge("autoscale.replicas"));
-      report.floor_replicas = fleet_size;
-      const JsonValue status = parse_json(autoscaler->status_json());
-      if (const JsonValue* pareto = status.find("pareto")) {
-        if (const JsonValue* frontier = pareto->find("frontier")) {
-          report.frontier_size = frontier->as_array().size();
-        }
-      }
-    }
-
-    // Per-backend routing counts (router side) and cache stats (backend
-    // side, via a metrics request — a restarted backend reports its fresh
-    // cache, which is the honest number).
-    for (std::size_t k = 0; k < children.size(); ++k) {
-      LoadReport::BackendReport backend;
-      backend.name = "b" + std::to_string(k);
-      backend.routed = router_metrics.counter("fleet." + backend.name + ".routed");
-      backend.alive = children[k].pid > 0;
-      if (backend.alive) {
-        try {
-          auto future = router->fleet().backend(k)->submit(
-              R"({"type":"metrics","id":"loadgen-final"})");
-          const JsonValue metrics = parse_json(future.get());
-          if (const JsonValue* cache = metrics.find("cache")) {
-            if (const JsonValue* v = cache->find("hits")) {
-              backend.cache_hits = v->as_number();
-            }
-            if (const JsonValue* v = cache->find("misses")) {
-              backend.cache_misses = v->as_number();
-            }
-          }
-        } catch (const std::exception&) {
-          backend.alive = false;
-        }
-      }
-      report.cache_hits += backend.cache_hits;
-      report.cache_misses += backend.cache_misses;
-      report.backends.push_back(std::move(backend));
-    }
-    const double cache_total = report.cache_hits + report.cache_misses;
-    report.cache_hit_rate = cache_total > 0.0 ? report.cache_hits / cache_total : 0.0;
-    report.route_buckets = router_metrics.stage_buckets("router.route");
-    report.service_counters = router_metrics.counters();
-
-    // The proxy's counters are final once the last response has been
-    // harvested; grab them while the control endpoint is still up.
-    if (chaos.pid > 0) report.chaos_metrics_json = chaos_metrics(chaos.control_port);
-
-    router->stop();
-    // Close the persistent connections BEFORE reaping: a backend blocked in
-    // serve_stream needs the peer to disconnect to reach its drain path.
-    router.reset();
-    // Graceful this time: SIGTERM and reap, the drain contract under test in
-    // the smoke runs.  The chaos proxy goes down LAST so the backends' drain
-    // traffic still flows through it.
-    for (ServeChild& child : children) {
-      if (child.pid > 0) kill(child.pid, SIGTERM);
-    }
-    for (ServeChild& child : children) {
-      int status = 0;
-      if (child.pid > 0) waitpid(child.pid, &status, 0);
-      child.pid = -1;
-    }
-    if (chaos.pid > 0) {
-      kill(chaos.pid, SIGTERM);
-      int status = 0;
-      waitpid(chaos.pid, &status, 0);
-      chaos.pid = -1;
-    }
-    return report;
-  } catch (...) {
-    kill_children();
-    throw;
+    const std::string& port_dir = fleet.spawn_options().port_dir;
+    chaos = spawn_chaos(run, replica_ports, port_dir.empty() ? make_port_dir() : port_dir);
+    std::cerr << "loadgen: chaos proxy up (control port " << chaos.control_port
+              << ")\n";
   }
+  fleet.start(chaos.ports);
+  Router& router = fleet.router();
+
+  LoadReport report;
+  report.latencies_s.resize(requests);
+  if (run.collect_responses) report.responses.resize(requests);
+  std::atomic<std::size_t> failed{0}, degraded{0}, timeouts{0}, overloaded{0};
+  std::atomic<bool> first_error{false};
+  std::atomic<std::size_t> next{0};
+  // A percentage outside (0, 100) maps to `requests`, which no request
+  // index ever equals — the event simply never fires.
+  const std::size_t kill_at = run.kill_at_pct > 0 && run.kill_at_pct < 100
+                                  ? requests * run.kill_at_pct / 100
+                                  : requests;
+  const std::size_t restart_at =
+      run.restart_at_pct > 0 && run.restart_at_pct < 100
+          ? requests * run.restart_at_pct / 100
+          : requests;
+  // Requests after the restart point wait for the restart, so every one of
+  // them can reach the restarted b0 however fast the others are served.
+  std::atomic<bool> restart_done{restart_at >= requests || fleet_size <= 1};
+
+  // An autoscale wave must overload the floor fleet however fast this host
+  // serves it, or the gate would judge the host instead of the controller.
+  double wave_peak_qps = run.wave_peak_qps;
+  if (run.autoscale && wave_peak_qps > 0.0) {
+    report.floor_capacity_rps = measure_churn_capacity(router, threads, requests);
+    wave_peak_qps =
+        std::max(wave_peak_qps, kWaveCapacityMultiple * report.floor_capacity_rps);
+    report.wave_peak_qps = wave_peak_qps;
+    std::cerr << "loadgen: autoscale: floor capacity " << report.floor_capacity_rps
+              << " plans/s, wave peak " << wave_peak_qps << " req/s\n";
+  }
+
+  // Diurnal wave: open-loop send times along a half-sine peaking at
+  // wave_peak_qps mid-run, floored at 5% of peak so the tail still drains.
+  std::vector<double> send_at;
+  if (wave_peak_qps > 0.0) {
+    send_at.resize(requests);
+    constexpr double kPi = 3.14159265358979323846;
+    double t = 0.0;
+    for (std::size_t i = 0; i < requests; ++i) {
+      const double phase =
+          kPi * (static_cast<double>(i) + 0.5) / static_cast<double>(requests);
+      const double rate = wave_peak_qps * std::max(0.05, std::sin(phase));
+      t += 1.0 / rate;
+      send_at[i] = t;
+    }
+  }
+
+  const Stopwatch wall;
+
+  std::unique_ptr<FleetController> controller;
+  if (run.autoscale) {
+    controller = std::make_unique<FleetController>(fleet, run.autoscaler, run.warm_limit);
+    controller->start(run.autoscale_ms);
+  }
+  std::vector<std::thread> clients;
+  for (int t = 0; t < threads; ++t) {
+    clients.emplace_back([&] {
+      while (true) {
+        const std::size_t i = next.fetch_add(1);
+        if (i >= requests) return;
+        if (i == kill_at && fleet_size > 1) {
+          // Default: hard failure, not a drain — SIGKILL mid-connection.
+          // The router sees BackendError, marks b0 down, and fails over.
+          // --kill-mode=term sends SIGTERM instead: the graceful drain,
+          // which lets a --snapshot-dir backend save its warm state.
+          fleet.kill(0, run.kill_term ? SIGTERM : SIGKILL);
+          std::cerr << "loadgen: " << (run.kill_term ? "terminated" : "killed")
+                    << " backend b0 at request " << i << "\n";
+        }
+        if (i == restart_at && fleet_size > 1) {
+          // Respawn in place re-points b0 at the new replica and re-admits
+          // it at once, instead of leaving the rest of the run to race the
+          // next health probe.
+          if (fleet.respawn(0)) {
+            report.b0_restarted = true;
+            std::cerr << "loadgen: restarted backend b0 at request " << i << "\n";
+          }
+          restart_done = true;
+        }
+        while (i > restart_at && !restart_done.load()) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+        if (!send_at.empty()) {
+          // Open-loop pacing: hold this slot until the wave schedule says
+          // request i arrives.
+          for (;;) {
+            const double remain = send_at[i] - wall.seconds();
+            if (remain <= 0.0) break;
+            std::this_thread::sleep_for(
+                std::chrono::duration<double>(std::min(remain, 0.005)));
+          }
+        }
+        PlanRequest request = request_for(i % distinct, i);
+        if (run.churn) request.alpha = churn_alpha(i);
+        if (timeout_ms > 0) request.timeout_ms = timeout_ms;
+        const std::string line = serialize_request(request);
+        const Stopwatch timer;
+        const std::string response_line = router.route(line);
+        report.latencies_s[i] = timer.seconds();
+        if (run.collect_responses) report.responses[i] = response_line;
+        const PlanResponse response = parse_plan_response(response_line);
+        tally_response(response, response_line, failed, degraded, timeouts,
+                       overloaded, first_error);
+      }
+    });
+  }
+  for (std::thread& client : clients) client.join();
+  report.wall_seconds = wall.seconds();
+  report.failed = failed.load();
+  report.degraded = degraded.load();
+  report.timeouts = timeouts.load();
+  report.overloaded = overloaded.load();
+
+  if (controller) {
+    // Convergence: the wave has passed; give the controller time to drain
+    // the extra replicas back to the floor before judging the run.
+    const Stopwatch settle;
+    while (settle.seconds() < 20.0) {
+      if (static_cast<std::size_t>(router_metrics.gauge("autoscale.replicas")) <=
+          fleet_size) {
+        break;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    }
+    controller->stop();
+    report.autoscaled = true;
+    report.scale_ups = router_metrics.counter("autoscale.scale_ups");
+    report.drains = router_metrics.counter("autoscale.drains");
+    report.final_replicas =
+        static_cast<std::size_t>(router_metrics.gauge("autoscale.replicas"));
+    report.floor_replicas = fleet_size;
+    const JsonValue status = parse_json(controller->status_json());
+    if (const JsonValue* pareto = status.find("pareto")) {
+      if (const JsonValue* frontier = pareto->find("frontier")) {
+        report.frontier_size = frontier->as_array().size();
+      }
+    }
+  }
+
+  // Per-backend routing counts (router side) and cache stats (backend
+  // side, via a metrics request — a restarted backend reports its fresh
+  // cache, which is the honest number).
+  for (std::size_t k = 0; k < fleet.size(); ++k) {
+    LoadReport::BackendReport backend;
+    backend.name = "b" + std::to_string(k);
+    backend.routed = router_metrics.counter("fleet." + backend.name + ".routed");
+    backend.alive = fleet.child(k).pid > 0;
+    if (backend.alive) {
+      try {
+        auto future = fleet.router().fleet().backend(k)->submit(
+            R"({"type":"metrics","id":"loadgen-final"})");
+        const JsonValue metrics = parse_json(future.get());
+        if (const JsonValue* cache = metrics.find("cache")) {
+          if (const JsonValue* v = cache->find("hits")) {
+            backend.cache_hits = v->as_number();
+          }
+          if (const JsonValue* v = cache->find("misses")) {
+            backend.cache_misses = v->as_number();
+          }
+        }
+      } catch (const std::exception&) {
+        backend.alive = false;
+      }
+    }
+    report.cache_hits += backend.cache_hits;
+    report.cache_misses += backend.cache_misses;
+    report.backends.push_back(std::move(backend));
+  }
+  const double cache_total = report.cache_hits + report.cache_misses;
+  report.cache_hit_rate = cache_total > 0.0 ? report.cache_hits / cache_total : 0.0;
+  report.route_buckets = router_metrics.stage_buckets("router.route");
+  report.service_counters = router_metrics.counters();
+
+  // The proxy's counters are final once the last response has been
+  // harvested; grab them while the control endpoint is still up.
+  if (chaos.pid > 0) report.chaos_metrics_json = chaos_metrics(chaos.control_port);
+
+  // Graceful this time: the drain contract under test in the smoke runs.  The
+  // chaos proxy goes down LAST so the backends' drain traffic still flows
+  // through it.
+  fleet.shutdown();
+  chaos.stop(SIGTERM);
+  return report;
 }
 
 /// Fleet-mode mutate driver: spawn K backends, route the stream through the
@@ -1162,81 +988,39 @@ LoadReport run_against_router(SpawnOptions spawn_options, std::size_t requests,
 MutateReport run_mutate_router(SpawnOptions spawn_options,
                                std::size_t fleet_size, std::uint16_t base_port,
                                WireMode wire, const MutateOptions& mutate) {
-  if (base_port == 0) {
-    spawn_options.port_dir = make_port_dir();
-    std::cerr << "loadgen: port-dir " << spawn_options.port_dir << "\n";
-  }
-  std::vector<ServeChild> children;
-  const auto kill_children = [&] {
-    for (ServeChild& child : children) {
-      if (child.pid > 0) kill(child.pid, SIGKILL);
-    }
-    for (ServeChild& child : children) {
-      int status = 0;
-      if (child.pid > 0) waitpid(child.pid, &status, 0);
-      child.pid = -1;
-    }
-  };
-  try {
-    for (std::size_t k = 0; k < fleet_size; ++k) {
-      const std::uint16_t port =
-          base_port == 0 ? 0 : static_cast<std::uint16_t>(base_port + k);
-      children.push_back(spawn_serve(spawn_options, port, "b" + std::to_string(k)));
-    }
-    for (std::size_t k = 0; k < fleet_size; ++k) {
-      wait_serve_ready(children[k], spawn_options, "b" + std::to_string(k),
-                       30'000);
-    }
+  RouterOptions options;
+  options.hedge_delay_ms = 0;  // deltas are stateful; never hedge them
+  options.probe_interval_ms = 100;
+  Registry router_metrics;
+  ReplicaSet fleet(std::move(spawn_options), base_port, wire, "loadgen: ", options,
+                   &router_metrics);
+  fleet.spawn(fleet_size);
+  fleet.start();
 
-    RouterOptions options;
-    options.hedge_delay_ms = 0;  // deltas are stateful; never hedge them
-    options.probe_interval_ms = 100;
-    Registry router_metrics;
-    auto router = std::make_unique<Router>(options, &router_metrics);
-    for (std::size_t k = 0; k < fleet_size; ++k) {
-      router->add_backend(std::make_shared<TcpBackend>(
-          "b" + std::to_string(k), children[k].port, "127.0.0.1", wire));
-    }
-    router->start();
+  MutateReport report = run_mutate(
+      [&](const std::string& line) { return fleet.router().route(line); }, mutate);
 
-    MutateReport report = run_mutate(
-        [&](const std::string& line) { return router->route(line); }, mutate);
-
-    // Aggregate CCR cells: each backend's service counters carry its own
-    // profile_runs; the stream pinned to one replica but the scratch base may
-    // rendezvous elsewhere, so sum the fleet.
-    for (std::size_t k = 0; k < fleet_size; ++k) {
-      try {
-        auto future = router->fleet().backend(k)->submit(
-            R"({"type":"metrics","id":"mutate-final"})");
-        const JsonValue metrics = parse_json(future.get());
-        if (const JsonValue* counters = metrics.find("counters")) {
-          if (const JsonValue* v = counters->find("profile_runs")) {
-            report.profile_cells +=
-                static_cast<std::uint64_t>(v->as_number());
-          }
+  // Aggregate CCR cells: each backend's service counters carry its own
+  // profile_runs; the stream pinned to one replica but the scratch base may
+  // rendezvous elsewhere, so sum the fleet.
+  for (std::size_t k = 0; k < fleet_size; ++k) {
+    try {
+      auto future = fleet.router().fleet().backend(k)->submit(
+          R"({"type":"metrics","id":"mutate-final"})");
+      const JsonValue metrics = parse_json(future.get());
+      if (const JsonValue* counters = metrics.find("counters")) {
+        if (const JsonValue* v = counters->find("profile_runs")) {
+          report.profile_cells += static_cast<std::uint64_t>(v->as_number());
         }
-      } catch (const std::exception& e) {
-        std::cerr << "loadgen: metrics harvest from b" << k
-                  << " failed: " << e.what() << "\n";
       }
+    } catch (const std::exception& e) {
+      std::cerr << "loadgen: metrics harvest from b" << k
+                << " failed: " << e.what() << "\n";
     }
-
-    router->stop();
-    router.reset();  // disconnect before the graceful reap
-    for (ServeChild& child : children) {
-      if (child.pid > 0) kill(child.pid, SIGTERM);
-    }
-    for (ServeChild& child : children) {
-      int status = 0;
-      if (child.pid > 0) waitpid(child.pid, &status, 0);
-      child.pid = -1;
-    }
-    return report;
-  } catch (...) {
-    kill_children();
-    throw;
   }
+
+  fleet.shutdown();
+  return report;
 }
 #endif
 
@@ -1325,6 +1109,14 @@ int main(int argc, char** argv) {
       std::cerr << "pglb_loadgen: --chaos and --autoscale are incompatible\n";
       return 2;
     }
+    const auto in_run = [](std::size_t pct) { return pct > 0 && pct < 100; };
+    if (!run.chaos_scenario.empty() && fleet_size > 1 &&
+        in_run(run.kill_at_pct) && in_run(run.restart_at_pct)) {
+      // A restarted b0 listens on a new port: it would bypass the proxy.
+      std::cerr << "pglb_loadgen: --chaos and the kill drill are incompatible "
+                   "(pass --kill-at=0 --restart-at=0)\n";
+      return 2;
+    }
 
     PlannerOptions planner_options;
     planner_options.proxy_scale = cli.get_double("scale", 1.0 / 256.0);
@@ -1340,6 +1132,17 @@ int main(int argc, char** argv) {
       std::cerr << "pglb_loadgen: unknown flag --" << unused.front() << "\n";
       return 2;
     }
+    if (fleet_size > 0 && server_path.empty()) {
+      std::cerr << "pglb_loadgen: --router needs --server=PATH to pglb_serve\n";
+      return 2;
+    }
+    SpawnOptions spawn_options;  // the --router=K replicas
+    spawn_options.serve_path = server_path;
+    spawn_options.threads = threads;
+    spawn_options.scale = planner_options.proxy_scale;
+    spawn_options.queue = server_options.queue_capacity;
+    spawn_options.snapshot_dir = snapshot_dir;
+    spawn_options.snapshot_interval_ms = snapshot_interval_ms;
 
     if (mutate.batches > 0) {
       if (!run.chaos_scenario.empty() || run.autoscale) {
@@ -1350,18 +1153,6 @@ int main(int argc, char** argv) {
       MutateReport m;
       if (fleet_size > 0) {
 #ifdef __unix__
-        if (server_path.empty()) {
-          std::cerr << "pglb_loadgen: --router needs --server=PATH to "
-                       "pglb_serve\n";
-          return 2;
-        }
-        SpawnOptions spawn_options;
-        spawn_options.serve_path = server_path;
-        spawn_options.threads = threads;
-        spawn_options.scale = planner_options.proxy_scale;
-        spawn_options.queue = server_options.queue_capacity;
-        spawn_options.snapshot_dir = snapshot_dir;
-        spawn_options.snapshot_interval_ms = snapshot_interval_ms;
         m = run_mutate_router(spawn_options, fleet_size, base_port, run.wire,
                               mutate);
 #else
@@ -1417,17 +1208,6 @@ int main(int argc, char** argv) {
     LoadReport report;
     if (fleet_size > 0) {
 #ifdef __unix__
-      if (server_path.empty()) {
-        std::cerr << "pglb_loadgen: --router needs --server=PATH to pglb_serve\n";
-        return 2;
-      }
-      SpawnOptions spawn_options;
-      spawn_options.serve_path = server_path;
-      spawn_options.threads = threads;
-      spawn_options.scale = planner_options.proxy_scale;
-      spawn_options.queue = server_options.queue_capacity;
-      spawn_options.snapshot_dir = snapshot_dir;
-      spawn_options.snapshot_interval_ms = snapshot_interval_ms;
       report = run_against_router(spawn_options, requests, threads, distinct,
                                   timeout_ms, fleet_size, base_port, hedge_ms,
                                   run);

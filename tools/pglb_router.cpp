@@ -25,7 +25,7 @@
 // drain contract as pglb_serve.
 //
 // --autoscale (spawn mode only) runs the closed-loop autoscaler
-// (docs/AUTOSCALE.md): a controller thread samples fleet pressure on a
+// (docs/AUTOSCALE.md): the FleetController thread samples fleet pressure on a
 // cadence and acts on its decisions — scale-up spawns another pglb_serve on
 // the next port (or rejoins a previously drained slot), drain marks a
 // replica draining, SIGTERMs it, and reaps it.  Rendezvous hashing re-homes
@@ -42,9 +42,6 @@
 // deadline-guarded plan requests against the newcomer — off the routing hot
 // path.  --warm-limit=0 disables warming.
 
-#include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <deque>
 #include <iostream>
@@ -55,25 +52,15 @@
 #include <thread>
 #include <vector>
 
-#include "autoscale/autoscaler.hpp"
-#include "fleet/router.hpp"
-#include "fleet/spawn.hpp"
-#include "fleet/tcp_backend.hpp"
-#include "fleet/warming.hpp"
+#include "autoscale/fleet_controller.hpp"
+#include "fleet/replica_set.hpp"
 #include "service/protocol.hpp"
 #include "util/cli.hpp"
 #include "util/parse.hpp"
-#include "util/portfile.hpp"
 
 #ifdef __unix__
-#include <arpa/inet.h>
 #include <csignal>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <sys/wait.h>
 #include <unistd.h>
-
-#include <cstring>
 
 using namespace pglb;
 
@@ -111,17 +98,10 @@ std::vector<std::string> split_csv(const std::string& text) {
   return tokens;
 }
 
-WireMode wire_mode_from_name(const std::string& name) {
-  if (name == "auto") return WireMode::kAuto;
-  if (name == "line") return WireMode::kLineJson;
-  if (name == "binary") return WireMode::kBinary;
-  throw std::runtime_error("--wire must be auto, line, or binary");
-}
-
 /// Pump stdin->stdout through router.route() on `threads` workers, emitting
 /// responses in input order (the serve_stream contract).
 std::size_t pump(Router& router, Registry& metrics, int threads,
-                 bool metrics_buckets, const Autoscaler* autoscaler) {
+                 bool metrics_buckets, const FleetController* controller) {
   std::mutex mutex;
   std::condition_variable work_cv;
   std::condition_variable out_cv;
@@ -155,8 +135,8 @@ std::size_t pump(Router& router, Registry& metrics, int threads,
           // Router-side view: counters, route latency (with the full bucket
           // vectors), and per-backend health.  Deliberately not forwarded.
           std::string extra = "\"fleet\":" + router.fleet_json();
-          if (autoscaler != nullptr) {
-            extra += ",\"autoscale\":" + autoscaler->status_json();
+          if (controller != nullptr) {
+            extra += ",\"autoscale\":" + controller->status_json();
           }
           response = metrics.to_json(extra, metrics_buckets);
         } else {
@@ -215,7 +195,6 @@ std::size_t pump(Router& router, Registry& metrics, int threads,
 
 int main(int argc, char** argv) {
   const Cli cli(argc, argv);
-  std::vector<ServeChild> children;
   try {
     const auto spawn = static_cast<std::size_t>(cli.get_int("spawn", 0));
     const std::string backends_csv = cli.get_string("backends", "");
@@ -255,10 +234,7 @@ int main(int argc, char** argv) {
     const std::string snapshot_dir = cli.get_string("snapshot-dir", "");
     const auto snapshot_interval_ms =
         static_cast<std::uint64_t>(cli.get_int("snapshot-interval-ms", 0));
-    WarmingOptions warm_options;
     const auto warm_limit = static_cast<std::size_t>(cli.get_int("warm-limit", 16));
-    warm_options.per_backend_limit = warm_limit;
-    warm_options.max_prefetch = warm_limit;
 
     RouterOptions options;
     options.default_deadline_ms =
@@ -291,37 +267,18 @@ int main(int argc, char** argv) {
     spawn_options.shed = shed;
     spawn_options.snapshot_dir = snapshot_dir;
     spawn_options.snapshot_interval_ms = snapshot_interval_ms;
-    if (spawn > 0 && base_port == 0) {
-      spawn_options.port_dir = make_port_dir();
-      // The port-dir path is unique per run: liveness checks (smoke tests)
-      // pgrep for it instead of a fixed --listen port pattern.
-      std::cerr << "pglb_router: port-dir " << spawn_options.port_dir << "\n";
-    }
 
-    std::vector<std::uint16_t> ports;
-    if (spawn > 0) {
-      for (std::size_t k = 0; k < spawn; ++k) {
-        SpawnOptions child_options = spawn_options;
-        if (k < line_backends) child_options.wire = "line";
-        const auto fixed = static_cast<std::uint16_t>(
-            base_port == 0 ? 0 : base_port + k);
-        children.push_back(
-            spawn_serve(child_options, fixed, "b" + std::to_string(k)));
+    std::vector<std::uint16_t> ports;  // --backends mode
+    for (const std::string& token : spawn > 0 ? std::vector<std::string>{}
+                                              : split_csv(backends_csv)) {
+      const auto port = parse_int(token);
+      if (!port || *port <= 0 || *port > 65535) {
+        std::cerr << "pglb_router: bad port '" << token << "'\n";
+        return 2;
       }
-      for (std::size_t k = 0; k < spawn; ++k) {
-        ports.push_back(wait_serve_ready(children[k], spawn_options,
-                                         "b" + std::to_string(k), 30'000));
-      }
-    } else {
-      for (const std::string& token : split_csv(backends_csv)) {
-        const auto port = parse_int(token);
-        if (!port || *port <= 0 || *port > 65535) {
-          std::cerr << "pglb_router: bad port '" << token << "'\n";
-          return 2;
-        }
-        ports.push_back(static_cast<std::uint16_t>(*port));
-      }
+      ports.push_back(static_cast<std::uint16_t>(*port));
     }
+    const std::size_t fleet_size = spawn > 0 ? spawn : ports.size();
 
     std::vector<double> weights;
     if (!weights_csv.empty()) {
@@ -333,189 +290,51 @@ int main(int argc, char** argv) {
         }
         weights.push_back(*weight);
       }
-      if (weights.size() != ports.size()) {
+      if (weights.size() != fleet_size) {
         std::cerr << "pglb_router: --weights needs one value per backend\n";
         return 2;
       }
     }
 
     Registry metrics;
-    auto router = std::make_unique<Router>(options, &metrics);
-    // Kept alongside the router so respawns onto new ephemeral ports can
-    // re-point the existing backend (set_port) without disturbing its fleet
-    // slot or rendezvous keys.
-    std::vector<std::shared_ptr<TcpBackend>> tcp_backends;
-    for (std::size_t i = 0; i < ports.size(); ++i) {
-      tcp_backends.push_back(std::make_shared<TcpBackend>(
-          "b" + std::to_string(i), ports[i], "127.0.0.1", wire_mode));
-      router->add_backend(tcp_backends.back(),
-                          weights.empty() ? 1.0 : weights[i]);
+    // --spawn: the replica set owns the processes and the router;
+    // --backends: no processes, just a router over the given ports.
+    std::unique_ptr<ReplicaSet> fleet;
+    std::unique_ptr<Router> attached;
+    if (spawn > 0) {
+      fleet = std::make_unique<ReplicaSet>(spawn_options, base_port, wire_mode,
+                                           "pglb_router: ", options, &metrics);
+      fleet->spawn(spawn, line_backends);
+      fleet->start({}, weights);
+    } else {
+      attached = std::make_unique<Router>(options, &metrics);
+      for (std::size_t i = 0; i < ports.size(); ++i) {
+        attached->add_backend(std::make_shared<TcpBackend>("b" + std::to_string(i),
+                                                           ports[i], "127.0.0.1",
+                                                           wire_mode),
+                              weights.empty() ? 1.0 : weights[i]);
+      }
+      attached->start();
     }
     install_stop_handlers();
-    router->start();
-    std::cerr << "pglb_router: fronting " << ports.size() << " backend(s)\n";
+    Router& router = fleet ? fleet->router() : *attached;
+    std::cerr << "pglb_router: fronting " << fleet_size << " backend(s)\n";
 
-    // --- autoscale controller ------------------------------------------------
-    // Samples fleet pressure on a cadence, asks the (pure) Autoscaler for a
-    // decision, and actuates it with the same spawn / SIGTERM-drain machinery
-    // the rest of this tool uses.  The controller is the only mutator of
-    // `children` while it runs; main touches them again only after join.
-    std::unique_ptr<Autoscaler> autoscaler;
-    std::vector<std::string> replica_specs(ports.size(), "");
-    std::mutex as_mutex;
-    std::condition_variable as_cv;
-    bool as_stop = false;
-    std::thread controller;
+    std::unique_ptr<FleetController> controller;
     if (autoscale) {
-      as_options.min_replicas = spawn;  // the floor is what the user spawned
-      autoscaler = std::make_unique<Autoscaler>(as_options, &metrics);
-      controller = std::thread([&] {
-        std::unique_lock<std::mutex> lock(as_mutex);
-        while (!as_stop) {
-          as_cv.wait_for(lock, std::chrono::milliseconds(autoscale_ms),
-                         [&] { return as_stop; });
-          if (as_stop) return;
-          lock.unlock();
-          FleetSample sample = sample_fleet(router->fleet(), metrics);
-          for (std::size_t i = 0;
-               i < sample.backends.size() && i < replica_specs.size(); ++i) {
-            sample.backends[i].spec_name = replica_specs[i];
-          }
-          const ScaleDecision decision = autoscaler->decide(sample);
-          if (const auto* up = std::get_if<ScaleUp>(&decision)) {
-            // Prefer rejoining a drained slot (same port, weight, and spec —
-            // its keys rendezvous straight back); otherwise spawn a fresh
-            // replica on the next port with the policy's chosen spec.
-            std::size_t rejoin = children.size();
-            for (std::size_t i = 0; i < children.size(); ++i) {
-              if (children[i].pid < 0 &&
-                  router->fleet().status(i).state == BackendState::kDraining) {
-                rejoin = i;
-                break;
-              }
-            }
-            try {
-              if (rejoin < children.size()) {
-                const std::string tag = "b" + std::to_string(rejoin);
-                const auto fixed = static_cast<std::uint16_t>(
-                    base_port == 0 ? 0 : children[rejoin].port);
-                children[rejoin] = spawn_serve(spawn_options, fixed, tag);
-                const std::uint16_t port =
-                    wait_serve_ready(children[rejoin], spawn_options, tag, 30'000);
-                // The respawn may land on a brand-new ephemeral port;
-                // re-point the existing backend (same name, same rendezvous
-                // keys) at it.
-                tcp_backends[rejoin]->set_port(port);
-                router->fleet().set_draining(rejoin, false);
-                // wait_serve_ready just proved liveness; clear the failure
-                // backoff the prober accrued against the empty slot.
-                router->fleet().record_success(rejoin);
-                std::cerr << "pglb_router: autoscale: scale-up b" << rejoin
-                          << " (rejoin) on port " << port << "\n";
-                if (warm_limit > 0) {
-                  const WarmReport warm =
-                      warm_replica(router->fleet(), rejoin, warm_options, &metrics);
-                  autoscaler->record_warming(warm.keys_owned, warm.keys_warmed);
-                  std::cerr << "pglb_router: warming: b" << rejoin << " owned "
-                            << warm.keys_owned << "/" << warm.keys_seen
-                            << " key(s), warmed " << warm.keys_warmed << "\n";
-                }
-              } else {
-                const std::string tag = "b" + std::to_string(children.size());
-                const auto fixed = static_cast<std::uint16_t>(
-                    base_port == 0 ? 0 : base_port + children.size());
-                children.push_back(spawn_serve(spawn_options, fixed, tag));
-                const std::uint16_t port =
-                    wait_serve_ready(children.back(), spawn_options, tag, 30'000);
-                const std::string name = "b" + std::to_string(replica_specs.size());
-                tcp_backends.push_back(std::make_shared<TcpBackend>(
-                    name, port, "127.0.0.1", wire_mode));
-                router->add_backend(tcp_backends.back(), up->weight);
-                replica_specs.push_back(up->spec.name);
-                std::cerr << "pglb_router: autoscale: scale-up " << name << " ("
-                          << up->spec.name << ") on port " << port << "\n";
-                if (warm_limit > 0) {
-                  const std::size_t index = tcp_backends.size() - 1;
-                  const WarmReport warm =
-                      warm_replica(router->fleet(), index, warm_options, &metrics);
-                  autoscaler->record_warming(warm.keys_owned, warm.keys_warmed);
-                  std::cerr << "pglb_router: warming: " << name << " owned "
-                            << warm.keys_owned << "/" << warm.keys_seen
-                            << " key(s), warmed " << warm.keys_warmed << "\n";
-                }
-              }
-            } catch (const std::exception& e) {
-              std::cerr << "pglb_router: autoscale: scale-up failed: "
-                        << e.what() << "\n";
-            }
-          } else if (const auto* drain = std::get_if<DrainReplica>(&decision)) {
-            if (drain->index < children.size() &&
-                children[drain->index].pid > 0) {
-              router->fleet().set_draining(drain->index, true);
-              ::kill(children[drain->index].pid, SIGTERM);
-              int status = 0;
-              ::waitpid(children[drain->index].pid, &status, 0);
-              children[drain->index].pid = -1;
-              std::cerr << "pglb_router: autoscale: drained " << drain->backend
-                        << "\n";
-            }
-          }
-          lock.lock();
-        }
-      });
+      controller = std::make_unique<FleetController>(*fleet, as_options, warm_limit);
+      controller->start(autoscale_ms);
     }
-    // Joins the controller on every exit path BEFORE the router (whose
-    // pointer it captured) is destroyed.
-    struct ControllerJoiner {
-      std::thread* thread;
-      std::mutex* mutex;
-      std::condition_variable* cv;
-      bool* stop;
-      ~ControllerJoiner() {
-        if (!thread->joinable()) return;
-        {
-          std::lock_guard<std::mutex> lock(*mutex);
-          *stop = true;
-        }
-        cv->notify_all();
-        thread->join();
-      }
-    } controller_joiner{&controller, &as_mutex, &as_cv, &as_stop};
-
     const std::size_t served =
-        pump(*router, metrics, threads, metrics_buckets, autoscaler.get());
-    {
-      std::lock_guard<std::mutex> lock(as_mutex);
-      as_stop = true;
-    }
-    as_cv.notify_all();
-    if (controller.joinable()) controller.join();
-    router->stop();
-    // Tear the router down BEFORE reaping: destroying the TcpBackends closes
-    // the persistent connections, which is what lets a backend blocked in
-    // serve_stream reach its own drain path.
-    router.reset();
+        pump(router, metrics, threads, metrics_buckets, controller.get());
+    controller.reset();  // joins the cadence thread before the fleet goes
+    if (fleet) fleet->shutdown();
+    if (attached) attached->stop();
     std::cerr << "pglb_router: drained after " << served << " request(s)\n";
-
-    // Drained slots carry pid -1: skip them (kill(-1) would signal the whole
-    // process group).
-    for (const ServeChild& child : children) {
-      if (child.pid > 0) ::kill(child.pid, SIGTERM);
-    }
-    for (const ServeChild& child : children) {
-      int status = 0;
-      if (child.pid > 0) ::waitpid(child.pid, &status, 0);
-    }
     return 0;
   } catch (const std::exception& e) {
+    // ~ReplicaSet has already SIGKILLed and reaped any spawned replica.
     std::cerr << "pglb_router: " << e.what() << "\n";
-    for (const ServeChild& child : children) {
-      if (child.pid > 0) ::kill(child.pid, SIGKILL);
-    }
-    for (const ServeChild& child : children) {
-      int status = 0;
-      if (child.pid > 0) ::waitpid(child.pid, &status, 0);
-    }
     return 1;
   }
 }
